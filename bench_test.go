@@ -123,11 +123,25 @@ func BenchmarkPVNextRS(b *testing.B) {
 
 // BenchmarkLLCFillZIV measures the ZIV fill path including relocations.
 func BenchmarkLLCFillZIV(b *testing.B) {
+	benchLLCFillZIV(b, core.PropNotInPrC, func() policy.Policy { return policy.NewLRU() }, false)
+}
+
+// BenchmarkLLCFillZIVHawkeye measures the ZIV fill path under Hawkeye with
+// the MaxRRPVLikelyDead property: the RRPV and LikelyDead way masks feed
+// the property vectors and the relocation-victim search.
+func BenchmarkLLCFillZIVHawkeye(b *testing.B) {
+	benchLLCFillZIV(b, core.PropMaxRRPVLikelyDead, func() policy.Policy { return policy.NewHawkeye(8) }, true)
+}
+
+// benchLLCFillZIV sweeps addresses through a ZIV LLC whose directory tracks
+// every third block, so some victims look privately cached. With markDead,
+// every fourth untracked block is then marked CHAR-dead.
+func benchLLCFillZIV(b *testing.B, prop core.Property, pol func() policy.Policy, markDead bool) {
 	dir := directory.New(directory.Config{Slices: 8, SetsPerSlice: 256, Ways: 8})
 	llc := core.New(core.Config{
 		Banks: 8, SetsPerBank: 64, Ways: 16,
-		Scheme: core.SchemeZIV, Property: core.PropNotInPrC,
-		NewPolicy: func() policy.Policy { return policy.NewLRU() },
+		Scheme: core.SchemeZIV, Property: prop,
+		NewPolicy: pol,
 	}, dir)
 	// Pre-populate the directory so some victims look privately cached.
 	for a := uint64(0); a < 4096; a++ {
@@ -141,7 +155,10 @@ func BenchmarkLLCFillZIV(b *testing.B) {
 		if e, _, ok := dir.Find(addr); ok && e.Relocated {
 			continue // resident at its relocated location
 		} else if _, hit := llc.Probe(addr); !hit {
-			llc.Fill(addr, int(addr%8), false, ok, policy.Meta{Addr: addr}, uint64(i))
+			llc.Fill(addr, int(addr%8), false, ok, policy.Meta{PC: addr % 7 * 4, Addr: addr}, uint64(i))
+			if markDead && !ok && addr%4 == 0 {
+				llc.MarkNotInPrC(addr, false, true, 0, int(addr%8))
+			}
 		}
 	}
 }

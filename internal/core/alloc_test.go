@@ -10,37 +10,59 @@ import (
 // TestZIVFillChurnNoAllocs guards the heap-free steady-state fill path: the
 // common ZIV miss — eviction or alternate-victim selection — must not
 // allocate. FillOutcome and its Evicted/Relocation records are plain values
-// precisely so the per-miss hot path stays off the heap.
+// precisely so the per-miss hot path stays off the heap. The Hawkeye case
+// covers the MaxRRPV property levels and the LikelyDead masks.
 func TestZIVFillChurnNoAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		prop Property
+		pol  func() policy.Policy
+	}{
+		{"LRU/NotInPrC", PropNotInPrC, func() policy.Policy { return policy.NewLRU() }},
+		{"Hawkeye/MaxRRPVLikelyDead", PropMaxRRPVLikelyDead, func() policy.Policy { return policy.NewHawkeye(8) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			llc, fill := zivChurn(tc.prop, tc.pol)
+			for j := 0; j < 20_000; j++ { // reach the full-set steady state
+				fill()
+			}
+			if llc.Stats.AlternateVictims == 0 {
+				t.Fatal("setup exercised no alternate-victim selections; the guard would not cover the ZIV search")
+			}
+			if n := testing.AllocsPerRun(5000, fill); n != 0 {
+				t.Errorf("ZIV fill path allocates %v per op; want 0", n)
+			}
+		})
+	}
+}
+
+// zivChurn builds a ZIV LLC whose directory tracks every third block, so a
+// third of replacement candidates look privately cached and exercise the
+// alternate-victim search, and returns a step that fills the next address
+// of a sweep. Every fourth untracked block is then marked CHAR-dead, so the
+// LikelyDead levels have candidates.
+func zivChurn(prop Property, pol func() policy.Policy) (*LLC, func()) {
 	dir := directory.New(directory.Config{Slices: 8, SetsPerSlice: 256, Ways: 8})
 	llc := New(Config{
 		Banks: 8, SetsPerBank: 64, Ways: 16,
-		Scheme: SchemeZIV, Property: PropNotInPrC,
-		NewPolicy: func() policy.Policy { return policy.NewLRU() },
+		Scheme: SchemeZIV, Property: prop,
+		NewPolicy: pol,
 	}, dir)
-	// Track every third block so a third of replacement candidates look
-	// privately cached and exercise the alternate-victim search.
 	for a := uint64(0); a < 4096; a += 3 {
 		dir.Allocate(a, int(a%8), directory.Shared)
 	}
 	i := uint64(0)
-	fill := func() {
+	return llc, func() {
 		addr := i % (1 << 20)
 		i++
 		if e, _, ok := dir.Find(addr); ok && e.Relocated {
 			return // already resident at its relocated location
 		} else if _, hit := llc.Probe(addr); !hit {
-			llc.Fill(addr, int(addr%8), false, ok, policy.Meta{Addr: addr}, i)
+			llc.Fill(addr, int(addr%8), false, ok, policy.Meta{PC: addr % 7 * 4, Addr: addr}, i)
+			if !ok && addr%4 == 0 {
+				llc.MarkNotInPrC(addr, false, true, 0, int(addr%8))
+			}
 		}
-	}
-	for j := 0; j < 20_000; j++ { // reach the full-set steady state
-		fill()
-	}
-	if llc.Stats.AlternateVictims == 0 {
-		t.Fatal("setup exercised no alternate-victim selections; the guard would not cover the ZIV search")
-	}
-	if n := testing.AllocsPerRun(5000, fill); n != 0 {
-		t.Errorf("ZIV fill path allocates %v per op; want 0", n)
 	}
 }
 

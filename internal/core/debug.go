@@ -17,8 +17,10 @@ import (
 //     block; conversely every Relocated directory entry points at a valid
 //     relocated LLC block for the same address.
 //  3. LikelyDead implies NotInPrC.
-//  4. Property-vector coherence: each configured PV bit equals the
-//     recomputed set predicate.
+//  4. Sidecar coherence: every set's way masks equal the masks recomputed
+//     from its blocks, and each configured PV bit equals the set predicate
+//     recomputed by scanning the blocks (scanSatisfies, the reference the
+//     mask-based setSatisfies must agree with).
 //  5. No duplicate addresses among non-relocated blocks, and no relocated
 //     block shadowing a non-relocated copy of the same address.
 func (l *LLC) CheckInvariants() error {
@@ -26,7 +28,7 @@ func (l *LLC) CheckInvariants() error {
 	for i := range l.banks {
 		bk := &l.banks[i]
 		for s := 0; s < l.cfg.SetsPerBank; s++ {
-			valid := 0
+			var masks wayMasks
 			for w := 0; w < l.cfg.Ways; w++ {
 				b := &bk.blocks[s*l.cfg.Ways+w]
 				wantTag := tagNone
@@ -36,10 +38,19 @@ func (l *LLC) CheckInvariants() error {
 				if got := bk.tags[s*l.cfg.Ways+w]; got != wantTag {
 					return fmt.Errorf("bank %d set %d way %d: tag sidecar %#x != expected %#x", i, s, w, got, wantTag)
 				}
+				bit := uint64(1) << uint(w)
+				if b.Valid {
+					masks.valid |= bit
+				}
+				if b.NotInPrC {
+					masks.notInPrC |= bit
+				}
+				if b.LikelyDead {
+					masks.dead |= bit
+				}
 				if !b.Valid {
 					continue
 				}
-				valid++
 				loc := directory.Location{Bank: i, Set: s, Way: w}
 				if b.LikelyDead && !b.NotInPrC {
 					return fmt.Errorf("block %#x at %+v: LikelyDead without NotInPrC", b.Addr, loc)
@@ -72,11 +83,11 @@ func (l *LLC) CheckInvariants() error {
 					return fmt.Errorf("block %#x at %+v: NotInPrC=%v but directory tracked=%v", b.Addr, loc, b.NotInPrC, tracked)
 				}
 			}
-			if int(bk.validCnt[s]) != valid {
-				return fmt.Errorf("bank %d set %d: validCnt %d != actual valid ways %d", i, s, bk.validCnt[s], valid)
+			if got := bk.masks[s]; got != masks {
+				return fmt.Errorf("bank %d set %d: way masks %+v != recomputed %+v", i, s, got, masks)
 			}
 			for _, lev := range l.levels {
-				if got, want := bk.pvs[lev].Get(s), l.setSatisfies(bk, s, lev); got != want {
+				if got, want := bk.pvs[lev].Get(s), l.scanSatisfies(bk, s, lev); got != want {
 					return fmt.Errorf("bank %d set %d: %v PV bit %v, recomputed %v", i, s, lev, got, want)
 				}
 			}
@@ -98,4 +109,47 @@ func (l *LLC) CheckInvariants() error {
 		}
 	})
 	return err
+}
+
+// scanSatisfies evaluates one relocation-set property for (bank, set) by
+// scanning the set's blocks and asking the policy for per-way RRPVs. It is
+// the reference that the way-mask evaluation in setSatisfies is checked
+// against.
+func (l *LLC) scanSatisfies(bk *bank, set int, lev level) bool {
+	base := set * l.cfg.Ways
+	switch lev {
+	case levInvalid:
+		for w := 0; w < l.cfg.Ways; w++ {
+			if !bk.blocks[base+w].Valid {
+				return true
+			}
+		}
+	case levNotInPrC:
+		for w := 0; w < l.cfg.Ways; w++ {
+			b := &bk.blocks[base+w]
+			if b.Valid && b.NotInPrC {
+				return true
+			}
+		}
+	case levLRU:
+		w := bk.lru.LRUWay(set)
+		b := &bk.blocks[base+w]
+		return b.Valid && b.NotInPrC
+	case levMaxRRPV:
+		max := bk.rrip.MaxRRPV()
+		for w := 0; w < l.cfg.Ways; w++ {
+			b := &bk.blocks[base+w]
+			if b.Valid && b.NotInPrC && bk.rrip.RRPV(set, w) == max {
+				return true
+			}
+		}
+	case levLikelyDead:
+		for w := 0; w < l.cfg.Ways; w++ {
+			b := &bk.blocks[base+w]
+			if b.Valid && b.NotInPrC && b.LikelyDead {
+				return true
+			}
+		}
+	}
+	return false
 }

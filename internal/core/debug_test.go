@@ -93,13 +93,31 @@ func TestCheckInvariantsDetectsBrokenReverseLinkage(t *testing.T) {
 	llc, _, _, to := relocatedSetup(t)
 	// Vanish the relocated LLC copy while the directory entry still points
 	// at it. The tag sidecar already holds tagNone for a relocated way, so
-	// only the valid count and property vectors need recomputing for the
+	// only the way masks and property vectors need recomputing for the
 	// emptied set.
 	bk := &llc.banks[to.Bank]
-	bk.blocks[to.Set*llc.cfg.Ways+to.Way] = Block{}
-	bk.validCnt[to.Set]--
+	b := &bk.blocks[to.Set*llc.cfg.Ways+to.Way]
+	*b = Block{}
+	bk.masks[to.Set].sync(to.Way, b)
 	llc.updateSet(bk, to.Set)
 	wantInvariantError(t, llc, "but LLC block there is")
+}
+
+func TestCheckInvariantsDetectsStaleWayMask(t *testing.T) {
+	llc, dir := mkLLC(t, SchemeZIV, PropLikelyDead, lruPol)
+	d := newDriver(t, llc, dir, 32)
+	d.access(0, 7, 4)
+	d.check()
+	loc, hit := llc.Probe(7)
+	if !hit {
+		t.Fatal("filled block not found")
+	}
+	// Mark the block dead behind the accessors' back: its block still says
+	// LikelyDead=false, so the mask is stale. The mask-based property
+	// predicates never see dead bits without NotInPrC, so only the mask
+	// comparison can catch this.
+	llc.banks[loc.Bank].masks[loc.Set].dead |= 1 << uint(loc.Way)
+	wantInvariantError(t, llc, "way masks")
 }
 
 func TestCheckInvariantsDetectsBackPointerMismatch(t *testing.T) {

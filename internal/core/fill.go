@@ -110,18 +110,36 @@ func (l *LLC) Fill(addr uint64, requester int, dirty, inPrC bool, m policy.Meta,
 // with no private copies is the victim. If every block is privately cached,
 // the original baseline victim is evicted, generating inclusion victims.
 //
+// The walk asks the masked victim query for the next unvisited way in Rank
+// order and records the privately cached ones; their promotions run after
+// the walk, in walk order. The walk reads only the order the policy had
+// when it started, so deferring the promotions leaves the final state
+// exactly as promoting mid-walk did.
+//
 //ziv:noalloc
 func (l *LLC) qbsVictim(bk *bank, set int) int {
-	order := l.rankScratch[:copy(l.rankScratch, bk.pol.Rank(set))]
-	base := set * l.cfg.Ways
-	for _, w := range order {
-		if bk.blocks[base+w].NotInPrC {
-			return w
+	order := bk.rankOrder(set)
+	notInPrC := bk.masks[set].notInPrC
+	var promote [64]uint8
+	n, victim := 0, -1
+	for unvisited := l.wayMask; unvisited != 0; {
+		w := bk.firstIn(set, order, unvisited)
+		if notInPrC>>uint(w)&1 != 0 {
+			victim = w
+			break
 		}
-		bk.pol.Promote(set, w)
+		promote[n] = uint8(w)
+		n++
+		unvisited &^= uint64(1) << uint(w)
+	}
+	for _, w := range promote[:n] {
+		bk.pol.Promote(set, int(w))
 		l.Stats.QBSPromotions++
 	}
-	return order[0]
+	if victim < 0 {
+		return int(promote[0])
+	}
+	return victim
 }
 
 // sharpVictim implements the SHARP victim search: (1) a block with no
@@ -130,14 +148,14 @@ func (l *LLC) qbsVictim(bk *bank, set int) int {
 //
 //ziv:noalloc
 func (l *LLC) sharpVictim(bk *bank, set, requester int) int {
-	order := l.rankScratch[:copy(l.rankScratch, bk.pol.Rank(set))]
-	base := set * l.cfg.Ways
-	for _, w := range order {
-		if bk.blocks[base+w].NotInPrC {
-			return w
-		}
+	order := bk.rankOrder(set)
+	if w := bk.firstIn(set, order, bk.masks[set].notInPrC); w >= 0 {
+		return w
 	}
-	for _, w := range order {
+	base := set * l.cfg.Ways
+	for unvisited := l.wayMask; unvisited != 0; {
+		w := bk.firstIn(set, order, unvisited)
+		unvisited &^= uint64(1) << uint(w)
 		b := &bk.blocks[base+w]
 		if b.Relocated {
 			continue
@@ -157,17 +175,14 @@ func (l *LLC) sharpVictim(bk *bank, set, requester int) int {
 //
 //ziv:noalloc
 func (l *LLC) charOnBaseVictim(bk *bank, set int) int {
-	order := bk.pol.Rank(set)
-	base := set * l.cfg.Ways
-	v0 := order[0]
-	if bk.blocks[base+v0].NotInPrC {
+	order := bk.rankOrder(set)
+	m := &bk.masks[set]
+	v0 := bk.firstIn(set, order, l.wayMask)
+	if m.notInPrC>>uint(v0)&1 != 0 {
 		return v0
 	}
-	for _, w := range order {
-		b := &bk.blocks[base+w]
-		if b.Valid && b.LikelyDead && b.NotInPrC {
-			return w
-		}
+	if w := bk.firstIn(set, order, m.evictable()&m.dead); w >= 0 {
+		return w
 	}
 	return v0
 }
@@ -183,7 +198,7 @@ func (l *LLC) fillWay(bk *bank, set, way int, addr uint64, dirty, inPrC bool, m 
 	}
 	*b = Block{Valid: true, Dirty: dirty, NotInPrC: !inPrC, Addr: addr, EvictCore: -1}
 	bk.tags[set*l.cfg.Ways+way] = addr
-	bk.validCnt[set]++
+	bk.masks[set].sync(way, b)
 	bk.pol.OnFill(set, way, m)
 	l.updateSet(bk, set)
 }
@@ -208,7 +223,7 @@ func (l *LLC) evictWay(bk *bank, set, way int) Evicted {
 	bk.pol.OnEvict(set, way)
 	*b = Block{}
 	bk.tags[set*l.cfg.Ways+way] = tagNone
-	bk.validCnt[set]--
+	bk.masks[set].sync(way, b)
 	l.updateSet(bk, set)
 	return ev
 }

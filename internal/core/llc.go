@@ -278,15 +278,11 @@ type LLC struct {
 	setMask  uint64
 	bankBits uint
 	levels   []level
+	wayMask  uint64 // one bit per way of a set
 	rngState uint64
 	// oracleNow tracks the latest global stream position observed (Meta.Pos)
 	// for the PropOracleNotInPrC property's next-use queries.
 	oracleNow uint64
-	// rankScratch holds a stable copy of a policy Rank order for the QBS and
-	// SHARP victim walks, which promote ways mid-walk and so cannot iterate
-	// the policy-owned slice directly. One reusable buffer avoids a per-miss
-	// allocation.
-	rankScratch []int
 	// obs is the attached event ring, nil when observability is off; every
 	// probe point guards on it, so the detached cost is one branch.
 	obs *obs.Ring
@@ -297,27 +293,27 @@ type LLC struct {
 type bank struct {
 	id int
 	// blocks is the primary store. sidecarsync enforces the sidecars:
-	// whole-element writes must refresh tags and validCnt, and writes to
-	// the private-residency state consumed by the property vectors must
-	// re-derive them via updateSet.
+	// whole-element writes must refresh tags and masks, and writes to the
+	// private-residency state consumed by the property vectors must
+	// refresh masks and re-derive the vectors via updateSet.
 	//
-	//ziv:mirror(tags,validCnt)
-	//ziv:mirror(updateSet) on NotInPrC,LikelyDead
+	//ziv:mirror(tags,masks)
+	//ziv:mirror(masks,updateSet) on NotInPrC,LikelyDead
 	blocks []Block
 	// tags mirrors blocks for fast probing: the block address when the way
 	// holds a valid non-relocated block, tagNone otherwise. Maintained by
 	// the few mutation points and validated by CheckInvariants.
 	tags []uint64
-	// validCnt counts valid ways (relocated included) per set, so the
-	// invalid-way probe on the fill path answers without scanning once the
-	// set is full. Validated by CheckInvariants.
-	validCnt []uint16
-	pol      policy.Policy
-	vic      policy.Victimer      // nil unless the policy exposes the fast victim path
-	rrip     policy.RRPVer        // nil unless the policy exposes RRPVs
-	lru      policy.LRUPositioner // nil unless the policy exposes LRU position
-	pvs      [numLevels]*PV       // only the configured levels are non-nil
-	thresh   *char.BankThresholder
+	// masks mirrors blocks per set as way bit masks (see wayMasks).
+	// Validated by CheckInvariants.
+	masks  []wayMasks
+	pol    policy.Policy
+	vic    policy.Victimer       // nil unless the policy exposes the fast victim path
+	mvic   policy.MaskedVictimer // nil unless the policy answers masked victim queries
+	rrip   policy.RRPVer         // nil unless the policy exposes RRPVs
+	lru    policy.LRUPositioner  // nil unless the policy exposes LRU position
+	pvs    [numLevels]*PV        // only the configured levels are non-nil
+	thresh *char.BankThresholder
 
 	lastReloc     uint64
 	everRelocated bool
@@ -334,8 +330,8 @@ func New(cfg Config, dir *directory.Directory) *LLC {
 	if cfg.SetsPerBank <= 0 || bits.OnesCount(uint(cfg.SetsPerBank)) != 1 {
 		panic(fmt.Sprintf("core: sets per bank must be a positive power of two, got %d", cfg.SetsPerBank))
 	}
-	if cfg.Ways <= 0 {
-		panic("core: ways must be positive")
+	if cfg.Ways <= 0 || cfg.Ways > 64 {
+		panic(fmt.Sprintf("core: ways must be in 1..64 (one way-mask bit each), got %d", cfg.Ways))
 	}
 	if cfg.NewPolicy == nil {
 		panic("core: NewPolicy is required")
@@ -354,9 +350,9 @@ func New(cfg Config, dir *directory.Directory) *LLC {
 		setMask:  uint64(cfg.SetsPerBank - 1),
 		bankBits: uint(bits.TrailingZeros(uint(cfg.Banks))),
 		levels:   levelsFor(cfg.Property),
+		wayMask:  uint64(1)<<uint(cfg.Ways) - 1,
 		rngState: 0x2545f4914f6cdd1d,
 	}
-	l.rankScratch = make([]int, cfg.Ways)
 	for i := range l.banks {
 		b := &l.banks[i]
 		b.id = i
@@ -365,11 +361,12 @@ func New(cfg Config, dir *directory.Directory) *LLC {
 		for j := range b.tags {
 			b.tags[j] = tagNone
 		}
-		b.validCnt = make([]uint16, cfg.SetsPerBank)
+		b.masks = make([]wayMasks, cfg.SetsPerBank)
 		b.relocTargets = make([]uint32, cfg.SetsPerBank)
 		b.pol = cfg.NewPolicy()
 		b.pol.Init(cfg.SetsPerBank, cfg.Ways)
 		b.vic, _ = b.pol.(policy.Victimer)
+		b.mvic, _ = b.pol.(policy.MaskedVictimer)
 		b.rrip, _ = b.pol.(policy.RRPVer)
 		b.lru, _ = b.pol.(policy.LRUPositioner)
 		for _, lev := range l.levels {
@@ -506,6 +503,7 @@ func (l *LLC) Access(addr uint64, m policy.Meta) (loc directory.Location, hit bo
 	b.NotInPrC = false
 	b.LikelyDead = false
 	b.EvictCore = -1
+	bk.masks[loc.Set].sync(loc.Way, b)
 	l.updateSet(bk, loc.Set)
 	return loc, true
 }
@@ -548,7 +546,9 @@ func (l *LLC) MarkNotInPrC(addr uint64, dirty, dead bool, group uint8, core int)
 	b.LikelyDead = dead
 	b.CharGroup = group
 	b.EvictCore = int16(core)
-	l.updateSet(&l.banks[loc.Bank], loc.Set)
+	bk := &l.banks[loc.Bank]
+	bk.masks[loc.Set].sync(loc.Way, b)
+	l.updateSet(bk, loc.Set)
 	return true
 }
 
@@ -598,7 +598,7 @@ func (l *LLC) InvalidateRelocated(loc directory.Location) (dirty bool) {
 	bk.pol.OnInvalidate(loc.Set, loc.Way)
 	*b = Block{}
 	bk.tags[loc.Set*l.cfg.Ways+loc.Way] = tagNone
-	bk.validCnt[loc.Set]--
+	bk.masks[loc.Set].sync(loc.Way, b)
 	l.Stats.RelocatedInvalidated++
 	l.updateSet(bk, loc.Set)
 	return dirty
@@ -620,104 +620,114 @@ func (l *LLC) Invalidate(addr uint64) (present, dirty bool) {
 	bk.pol.OnInvalidate(loc.Set, loc.Way)
 	*b = Block{}
 	bk.tags[loc.Set*l.cfg.Ways+loc.Way] = tagNone
-	bk.validCnt[loc.Set]--
+	bk.masks[loc.Set].sync(loc.Way, b)
 	l.updateSet(bk, loc.Set)
 	return true, dirty
 }
 
-// setSatisfies evaluates one relocation-set property for (bank, set).
+// wayMasks is one set's way-mask sidecar: bit w of each word mirrors a
+// field of the block in way w. The property vectors, the invalid-way probe
+// and the masked victim searches read these three words instead of the
+// set's Block array — the per-way state bits that the hardware's PV logic
+// reduces with OR trees (§III-D1).
+type wayMasks struct {
+	valid    uint64 // Block.Valid
+	notInPrC uint64 // Block.NotInPrC
+	dead     uint64 // Block.LikelyDead
+}
+
+// sync re-derives way's bits from its block b.
+//
+//ziv:noalloc
+func (m *wayMasks) sync(way int, b *Block) {
+	bit := uint64(1) << uint(way)
+	m.valid &^= bit
+	m.notInPrC &^= bit
+	m.dead &^= bit
+	if b.Valid {
+		m.valid |= bit
+	}
+	if b.NotInPrC {
+		m.notInPrC |= bit
+	}
+	if b.LikelyDead {
+		m.dead |= bit
+	}
+}
+
+// evictable returns the valid ways with no private copies: the blocks an
+// eviction can remove without generating inclusion victims.
+//
+//ziv:noalloc
+func (m *wayMasks) evictable() uint64 { return m.valid & m.notInPrC }
+
+// setSatisfies evaluates one relocation-set property for (bank, set) from
+// the set's way masks. scanSatisfies in debug.go is the block-scanning
+// reference that CheckInvariants holds it to.
 //
 //ziv:noalloc
 func (l *LLC) setSatisfies(bk *bank, set int, lev level) bool {
-	base := set * l.cfg.Ways
+	m := &bk.masks[set]
 	switch lev {
 	case levInvalid:
-		for w := 0; w < l.cfg.Ways; w++ {
-			if !bk.blocks[base+w].Valid {
-				return true
-			}
-		}
+		return m.valid != l.wayMask
 	case levNotInPrC:
-		for w := 0; w < l.cfg.Ways; w++ {
-			b := &bk.blocks[base+w]
-			if b.Valid && b.NotInPrC {
-				return true
-			}
-		}
+		return m.evictable() != 0
 	case levLRU:
-		w := bk.lru.LRUWay(set)
-		b := &bk.blocks[base+w]
-		return b.Valid && b.NotInPrC
+		return m.evictable()>>uint(bk.lru.LRUWay(set))&1 != 0
 	case levMaxRRPV:
-		max := bk.rrip.MaxRRPV()
-		for w := 0; w < l.cfg.Ways; w++ {
-			b := &bk.blocks[base+w]
-			if b.Valid && b.NotInPrC && bk.rrip.RRPV(set, w) == max {
-				return true
-			}
-		}
+		return m.evictable()&bk.rrip.MaxRRPVWays(set) != 0
 	case levLikelyDead:
-		for w := 0; w < l.cfg.Ways; w++ {
-			b := &bk.blocks[base+w]
-			if b.Valid && b.NotInPrC && b.LikelyDead {
-				return true
-			}
-		}
+		return m.evictable()&m.dead != 0
 	}
 	return false
 }
 
 // updateSet recomputes every configured property bit of (bank, set). Called
-// after any mutation of the set's blocks or replacement state. The Invalid,
-// NotInPrC and LikelyDead predicates are folded into one pass over the set
-// (setSatisfies would scan once per level); the LRU and MaxRRPV predicates
-// need policy state and keep their dedicated queries.
+// after any mutation of the set's blocks or replacement state.
 //
 //ziv:noalloc
 func (l *LLC) updateSet(bk *bank, set int) {
-	if len(l.levels) == 0 {
-		return
-	}
-	base := set * l.cfg.Ways
-	var anyInvalid, anyNotInPrC, anyDead bool
-	for w := 0; w < l.cfg.Ways; w++ {
-		b := &bk.blocks[base+w]
-		if !b.Valid {
-			anyInvalid = true
-		} else if b.NotInPrC {
-			anyNotInPrC = true
-			if b.LikelyDead {
-				anyDead = true
-			}
-		}
-	}
 	for _, lev := range l.levels {
-		var v bool
-		switch lev {
-		case levInvalid:
-			v = anyInvalid
-		case levNotInPrC:
-			v = anyNotInPrC
-		case levLikelyDead:
-			v = anyDead
-		default:
-			v = l.setSatisfies(bk, set, lev)
-		}
-		bk.pvs[lev].Set(set, v)
+		bk.pvs[lev].Set(set, l.setSatisfies(bk, set, lev))
 	}
 }
 
-// invalidWay returns an invalid way in (bank, set) or -1. Full sets (the
-// steady state after warmup) answer from the per-set valid count.
+// invalidWay returns the lowest invalid way in (bank, set) or -1.
 //
 //ziv:noalloc
 func (l *LLC) invalidWay(bk *bank, set int) int {
-	if int(bk.validCnt[set]) == l.cfg.Ways {
+	free := ^bk.masks[set].valid & l.wayMask
+	if free == 0 {
 		return -1
 	}
-	base := set * l.cfg.Ways
-	for w := 0; w < l.cfg.Ways; w++ {
-		if !bk.blocks[base+w].Valid {
+	return bits.TrailingZeros64(free)
+}
+
+// rankOrder returns Rank(set) when bk's policy has no masked victim query,
+// and nil otherwise; firstIn answers from either. A search that asks
+// firstIn several times takes one rankOrder first, so a policy on the Rank
+// fallback still ranks — and applies Rank's side effects — once per
+// search, as the Rank-then-scan walks did.
+//
+//ziv:noalloc
+func (bk *bank) rankOrder(set int) []int {
+	if bk.mvic != nil {
+		return nil
+	}
+	return bk.pol.Rank(set)
+}
+
+// firstIn returns the first way of set's Rank order among mask, or -1.
+// order is rankOrder's result for the same set.
+//
+//ziv:noalloc
+func (bk *bank) firstIn(set int, order []int, mask uint64) int {
+	if order == nil {
+		return bk.mvic.VictimIn(set, mask)
+	}
+	for _, w := range order {
+		if mask>>uint(w)&1 != 0 {
 			return w
 		}
 	}

@@ -652,6 +652,7 @@ func TestConfigValidation(t *testing.T) {
 		{Banks: 3, SetsPerBank: 8, Ways: 4, NewPolicy: lruPol},
 		{Banks: 2, SetsPerBank: 7, Ways: 4, NewPolicy: lruPol},
 		{Banks: 2, SetsPerBank: 8, Ways: 0, NewPolicy: lruPol},
+		{Banks: 2, SetsPerBank: 8, Ways: 65, NewPolicy: lruPol}, // beyond one way-mask word
 		{Banks: 2, SetsPerBank: 8, Ways: 4},
 		{Banks: 2, SetsPerBank: 8, Ways: 4, NewPolicy: lruPol, Scheme: SchemeZIV},
 		{Banks: 2, SetsPerBank: 8, Ways: 4, NewPolicy: lruPol, Scheme: SchemeZIV, Property: PropMaxRRPVNotInPrC}, // LRU has no RRPV

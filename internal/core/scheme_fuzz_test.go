@@ -2,8 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"zivsim/internal/directory"
+	"zivsim/internal/policy"
 )
 
 // TestAllSchemesModelProperty fuzzes every victim-selection scheme through
@@ -122,5 +126,89 @@ func TestInPrCEvictionAccounting(t *testing.T) {
 	}
 	if uint64(backInvalEvents) != llc.Stats.InPrCEvictions {
 		t.Fatalf("accounting drift: %d observed vs %d counted", backInvalEvents, llc.Stats.InPrCEvictions)
+	}
+}
+
+// hideVictimIn shadows a policy's VictimIn: embedded beside the policy at
+// the same depth, it makes the selector ambiguous, so the wrapper keeps
+// every other method but no longer implements policy.MaskedVictimer.
+type hideVictimIn struct{}
+
+func (hideVictimIn) VictimIn() {}
+
+type rankOnlyLRU struct {
+	*policy.LRU
+	hideVictimIn
+}
+
+type rankOnlyHawkeye struct {
+	*policy.Hawkeye
+	hideVictimIn
+}
+
+type rankOnlySRRIP struct {
+	*policy.SRRIP
+	hideVictimIn
+}
+
+func srripPol() policy.Policy { return policy.NewSRRIP(2) }
+
+// TestMaskedSearchesMatchRankFallback runs every scheme combination, plus
+// SRRIP ones whose Rank ages the set, twice on one op stream: once with the
+// policy's masked victim query and once with the query hidden, so the LLC
+// takes its Rank-then-scan fallback. The two runs must end with identical
+// statistics, LLC contents and inclusion victims.
+func TestMaskedSearchesMatchRankFallback(t *testing.T) {
+	rankOnly := map[string]func() policy.Policy{
+		"LRU":     func() policy.Policy { return rankOnlyLRU{LRU: policy.NewLRU()} },
+		"Hawkeye": func() policy.Policy { return rankOnlyHawkeye{Hawkeye: policy.NewHawkeye(2)} },
+		"SRRIP":   func() policy.Policy { return rankOnlySRRIP{SRRIP: policy.NewSRRIP(2)} },
+	}
+	type result struct {
+		stats   Stats
+		blocks  map[uint64]Block
+		victims int
+	}
+	run := func(c schemeCombo, pol func() policy.Policy, seed int64) result {
+		llc, dir := mkLLC(t, c.scheme, c.prop, pol)
+		if _, masked := llc.banks[0].pol.(policy.MaskedVictimer); masked != (llc.banks[0].mvic != nil) {
+			t.Fatal("mvic does not reflect the policy's capability")
+		}
+		d := newDriver(t, llc, dir, 12)
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 1500; i++ {
+			coreID := rng.Intn(4)
+			addr := uint64(rng.Intn(100))
+			d.access(coreID, addr, uint64(rng.Intn(8))*4)
+			if rng.Intn(4) == 0 {
+				d.dropPrivate(coreID, addr)
+			}
+		}
+		r := result{stats: llc.Stats, blocks: map[uint64]Block{}, victims: d.inclusionVictims}
+		llc.ForEachValid(func(_ directory.Location, b Block) { r.blocks[b.Addr] = b })
+		return r
+	}
+	for _, name := range []string{"LRU", "Hawkeye", "SRRIP"} {
+		if _, ok := rankOnly[name]().(policy.MaskedVictimer); ok {
+			t.Fatalf("rank-only %s still exposes VictimIn", name)
+		}
+	}
+	combos := append(schemeCombos(),
+		schemeCombo{SchemeQBS, PropNone, srripPol},
+		schemeCombo{SchemeSHARP, PropNone, srripPol},
+		schemeCombo{SchemeCHARonBase, PropNone, srripPol},
+		schemeCombo{SchemeZIV, PropMaxRRPVNotInPrC, srripPol},
+		schemeCombo{SchemeZIV, PropMaxRRPVLikelyDead, srripPol},
+	)
+	for _, c := range combos {
+		name := c.pol().Name()
+		for seed := int64(1); seed <= 3; seed++ {
+			fast := run(c, c.pol, seed)
+			slow := run(c, rankOnly[name], seed)
+			if !reflect.DeepEqual(fast, slow) {
+				t.Errorf("scheme %v prop %v %s seed %d: masked searches diverge from the Rank fallback\nmasked: %+v\nrank:   %+v",
+					c.scheme, c.prop, name, seed, fast.stats, slow.stats)
+			}
+		}
 	}
 }

@@ -171,50 +171,45 @@ func (l *LLC) zivFill(bk *bank, set int, addr uint64, dirty, inPrC bool, m polic
 // relocVictimWay picks the victim within a relocation set per §III-E,
 // following the configured property's priority chain. Invalid ways are
 // handled by the caller. It returns -1 when the set holds no block that can
-// be evicted without inclusion victims.
+// be evicted without inclusion victims. Each step is one masked query for
+// the first way in the policy's Rank order; the rank order of an RRIP
+// policy is descending RRPV, so "first" means "highest RRPV".
 //
 //ziv:noalloc
 func (l *LLC) relocVictimWay(bk *bank, set int) int {
-	order := bk.pol.Rank(set)
-	base := set * l.cfg.Ways
-	firstWhere := func(pred func(b *Block, w int) bool) int {
-		for _, w := range order {
-			b := &bk.blocks[base+w]
-			if b.Valid && pred(b, w) {
-				return w
-			}
-		}
+	order := bk.rankOrder(set)
+	m := &bk.masks[set]
+	cand := m.evictable()
+	// The NotInPrC block closest to the LRU position (or with the highest
+	// RRPV). Asked first so that Rank's side effects (SRRIP ages the set)
+	// precede any read of policy state below, as in a Rank-then-scan walk.
+	w := bk.firstIn(set, order, cand)
+	if w < 0 {
 		return -1
 	}
 	switch l.cfg.Property {
-	case PropNotInPrC, PropLRUNotInPrC:
-		// The NotInPrC block closest to the LRU position.
-		return firstWhere(func(b *Block, _ int) bool { return b.NotInPrC })
-	case PropMaxRRPVNotInPrC:
-		// The NotInPrC block with as high an RRPV as possible (the rank
-		// order is descending RRPV).
-		return firstWhere(func(b *Block, _ int) bool { return b.NotInPrC })
+	case PropNotInPrC, PropLRUNotInPrC, PropMaxRRPVNotInPrC:
+		return w
 	case PropLikelyDead:
 		// LikelyDead closest to LRU, else NotInPrC closest to LRU.
-		if w := firstWhere(func(b *Block, _ int) bool { return b.LikelyDead && b.NotInPrC }); w >= 0 {
-			return w
+		if d := bk.firstIn(set, order, cand&m.dead); d >= 0 {
+			return d
 		}
-		return firstWhere(func(b *Block, _ int) bool { return b.NotInPrC })
-	case PropOracleNotInPrC:
-		w, _ := l.oracleVictimIn(bk, set)
 		return w
+	case PropOracleNotInPrC:
+		ow, _ := l.oracleVictimIn(bk, set)
+		return ow
 	case PropMaxRRPVLikelyDead:
 		// NotInPrC at max RRPV (a Hawkeye cache-averse block), else
 		// LikelyDead with as high an RRPV as possible, else NotInPrC with as
 		// high an RRPV as possible.
-		max := bk.rrip.MaxRRPV()
-		if w := firstWhere(func(b *Block, w int) bool { return b.NotInPrC && bk.rrip.RRPV(set, w) == max }); w >= 0 {
-			return w
+		if averse := cand & bk.rrip.MaxRRPVWays(set); averse != 0 {
+			return bk.firstIn(set, order, averse)
 		}
-		if w := firstWhere(func(b *Block, _ int) bool { return b.LikelyDead && b.NotInPrC }); w >= 0 {
-			return w
+		if d := bk.firstIn(set, order, cand&m.dead); d >= 0 {
+			return d
 		}
-		return firstWhere(func(b *Block, _ int) bool { return b.NotInPrC })
+		return w
 	}
 	return -1
 }
@@ -259,7 +254,7 @@ func (l *LLC) relocate(home *bank, homeSet, victimWay int, dst *bank, rs, dstWay
 	home.pol.OnInvalidate(homeSet, victimWay)
 	home.blocks[homeSet*l.cfg.Ways+victimWay] = Block{}
 	home.tags[homeSet*l.cfg.Ways+victimWay] = tagNone
-	home.validCnt[homeSet]--
+	home.masks[homeSet].sync(victimWay, &home.blocks[homeSet*l.cfg.Ways+victimWay])
 
 	// Find the destination way and evict its occupant if needed.
 	var evicted Evicted
@@ -295,7 +290,7 @@ func (l *LLC) relocate(home *bank, homeSet, victimWay int, dst *bank, rs, dstWay
 		RelocDepth: depth,
 	}
 	dst.tags[rs*l.cfg.Ways+dstWay] = tagNone // relocated blocks are invisible to lookups
-	dst.validCnt[rs]++
+	dst.masks[rs].sync(dstWay, &dst.blocks[rs*l.cfg.Ways+dstWay])
 	dst.pol.Promote(rs, dstWay)
 
 	// Record the new location in the directory entry.
@@ -395,7 +390,7 @@ func (l *LLC) fillRelocated(home, dst *bank, rs int, lev level, addr uint64, dir
 		RelocDepth: 1,
 	}
 	dst.tags[rs*l.cfg.Ways+dstWay] = tagNone
-	dst.validCnt[rs]++
+	dst.masks[rs].sync(dstWay, &dst.blocks[rs*l.cfg.Ways+dstWay])
 	dst.pol.Promote(rs, dstWay)
 	to := directory.Location{Bank: dst.id, Set: rs, Way: dstWay}
 	e := l.dir.At(ptr)

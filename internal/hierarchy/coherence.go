@@ -174,8 +174,10 @@ func (m *Machine) handleDirEviction(ev directory.Entry) {
 // handleFillOutcome processes what an LLC fill evicted and/or relocated:
 // dirty victims write back to memory; privately cached victims of an
 // inclusive LLC are back-invalidated, generating inclusion victims — the
-// event the ZIV design eliminates.
-func (m *Machine) handleFillOutcome(requester int, out core.FillOutcome) {
+// event the ZIV design eliminates. out is read in place: FillOutcome is
+// large enough that passing it by value shows up as a block copy on every
+// miss.
+func (m *Machine) handleFillOutcome(requester int, out *core.FillOutcome) {
 	if out.Relocation.Valid {
 		m.meter.Add(energy.Relocation, 1)
 		m.meter.Add(energy.DirUpdate, 1)
@@ -301,7 +303,7 @@ func (m *Machine) llcTransaction(c *coreState, blockAddr uint64, write bool, met
 		writable := m.joinSharers(c, e, write, blockAddr)
 		out := m.llc.Fill(blockAddr, c.id, false, true, meta, c.cycle)
 		m.meter.Add(energy.LLCDataWrite, 1)
-		m.handleFillOutcome(c.id, out)
+		m.handleFillOutcome(c.id, &out)
 		m.fillL2(c, blockAddr, false, writable, meta, l2Meta{llcHit: false})
 		m.fillL1(c, blockAddr, write, writable, meta)
 		return lat
@@ -325,7 +327,7 @@ func (m *Machine) llcTransaction(c *coreState, blockAddr uint64, write bool, met
 	m.handleDirSpill(spilled)
 	out := m.llc.Fill(blockAddr, c.id, false, true, meta, c.cycle)
 	m.meter.Add(energy.LLCDataWrite, 1)
-	m.handleFillOutcome(c.id, out)
+	m.handleFillOutcome(c.id, &out)
 	m.fillL2(c, blockAddr, false, true, meta, l2Meta{llcHit: false})
 	m.fillL1(c, blockAddr, write, true, meta)
 	return lat

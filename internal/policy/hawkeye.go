@@ -13,7 +13,11 @@ type Hawkeye struct {
 	rankBuf
 	sets, ways int
 
-	rrpv     []int
+	rrpv []int
+	// maxWays mirrors rrpv per set: bit w is set while way w sits at
+	// hawkeyeMaxRRPV. Every rrpv write goes through setRRPV, except the
+	// friendly-line aging in OnFill, which stops below the maximum.
+	maxWays  []uint64
 	friendly []bool
 	pcOf     []uint64
 	validPC  []bool
@@ -146,11 +150,15 @@ func (p *Hawkeye) Init(sets, ways int) {
 	p.sets, p.ways = sets, ways
 	n := sets * ways
 	p.rrpv = make([]int, n)
+	p.maxWays = make([]uint64, sets)
 	p.friendly = make([]bool, n)
 	p.pcOf = make([]uint64, n)
 	p.validPC = make([]bool, n)
 	for i := range p.rrpv {
 		p.rrpv[i] = hawkeyeMaxRRPV
+	}
+	for set := range p.maxWays {
+		p.maxWays[set] = waysMask(ways)
 	}
 	for i := range p.pred.ctr {
 		p.pred.ctr[i] = hawkeyeCtrInit
@@ -190,9 +198,9 @@ func (p *Hawkeye) OnHit(set, way int, m Meta) {
 	p.pcOf[i] = m.PC
 	p.validPC[i] = true
 	if fr {
-		p.rrpv[i] = 0
+		p.setRRPV(set, way, 0)
 	} else {
-		p.rrpv[i] = hawkeyeMaxRRPV
+		p.setRRPV(set, way, hawkeyeMaxRRPV)
 	}
 }
 
@@ -213,9 +221,9 @@ func (p *Hawkeye) OnFill(set, way int, m Meta) {
 				p.rrpv[j]++
 			}
 		}
-		p.rrpv[i] = 0
+		p.setRRPV(set, way, 0)
 	} else {
-		p.rrpv[i] = hawkeyeMaxRRPV
+		p.setRRPV(set, way, hawkeyeMaxRRPV)
 	}
 }
 
@@ -226,15 +234,16 @@ func (p *Hawkeye) OnEvict(set, way int) {
 	if p.friendly[i] && p.validPC[i] {
 		p.pred.train(p.pcOf[i], false)
 	}
-	p.clear(i)
+	p.clear(set, way)
 }
 
 // OnInvalidate implements Policy. Forced removals are not replacement
 // mistakes, so no detraining happens.
-func (p *Hawkeye) OnInvalidate(set, way int) { p.clear(set*p.ways + way) }
+func (p *Hawkeye) OnInvalidate(set, way int) { p.clear(set, way) }
 
-func (p *Hawkeye) clear(i int) {
-	p.rrpv[i] = hawkeyeMaxRRPV
+func (p *Hawkeye) clear(set, way int) {
+	i := set*p.ways + way
+	p.setRRPV(set, way, hawkeyeMaxRRPV)
 	p.friendly[i] = false
 	p.validPC[i] = false
 	p.pcOf[i] = 0
@@ -262,6 +271,20 @@ func (p *Hawkeye) RRPV(set, way int) int { return p.rrpv[set*p.ways+way] }
 // MaxRRPV implements RRPVer.
 func (p *Hawkeye) MaxRRPV() int { return hawkeyeMaxRRPV }
 
+// MaxRRPVWays implements RRPVer from the maintained per-set mask.
+func (p *Hawkeye) MaxRRPVWays(set int) uint64 { return p.maxWays[set] }
+
+// setRRPV writes one way's RRPV and keeps the set's maxWays bit in step.
+func (p *Hawkeye) setRRPV(set, way, v int) {
+	p.rrpv[set*p.ways+way] = v
+	bit := uint64(1) << uint(way)
+	if v == hawkeyeMaxRRPV {
+		p.maxWays[set] |= bit
+	} else {
+		p.maxWays[set] &^= bit
+	}
+}
+
 var (
 	_ Policy = (*Hawkeye)(nil)
 	_ RRPVer = (*Hawkeye)(nil)
@@ -269,4 +292,4 @@ var (
 
 // Promote implements Policy: protect the line (RRPV 0) without touching the
 // OPTgen sampler or predictor — QBS promotions are not program accesses.
-func (p *Hawkeye) Promote(set, way int) { p.rrpv[set*p.ways+way] = 0 }
+func (p *Hawkeye) Promote(set, way int) { p.setRRPV(set, way, 0) }

@@ -51,6 +51,12 @@ type RRPVer interface {
 	RRPV(set, way int) int
 	// MaxRRPV returns the distant-future RRPV value (2^bits - 1).
 	MaxRRPV() int
+	// MaxRRPVWays returns the ways of set currently at MaxRRPV as a bit
+	// mask (bit w for way w; ways 0-63), so a caller tests the whole set
+	// with one AND instead of one RRPV call per way.
+	//
+	//ziv:noalloc
+	MaxRRPVWays(set int) uint64
 }
 
 // LRUPositioner is implemented by recency-ordered policies. The ZIV

@@ -51,19 +51,8 @@ func (p *SRRIP) OnInvalidate(set, way int) { p.rrpv[set*p.ways+way] = p.max }
 // reaches max) is applied as a side effect so that subsequent fills observe
 // the aged state, matching hardware behaviour.
 func (p *SRRIP) Rank(set int) []int {
+	p.age(set)
 	base := set * p.ways
-	// Age until at least one way is at max RRPV.
-	maxSeen := 0
-	for w := 0; w < p.ways; w++ {
-		if p.rrpv[base+w] > maxSeen {
-			maxSeen = p.rrpv[base+w]
-		}
-	}
-	if delta := p.max - maxSeen; delta > 0 {
-		for w := 0; w < p.ways; w++ {
-			p.rrpv[base+w] += delta
-		}
-	}
 	out := p.take(p.ways)
 	for w := 0; w < p.ways; w++ {
 		out[w] = w
@@ -76,11 +65,40 @@ func (p *SRRIP) Rank(set int) []int {
 	return out
 }
 
+// age applies the canonical aging step: every RRPV of the set rises by
+// the same amount until at least one way is at max RRPV. A set that
+// already has a max-RRPV way is left as is, so repeating it is a no-op.
+func (p *SRRIP) age(set int) {
+	rrpv := p.rrpv[set*p.ways : (set+1)*p.ways]
+	maxSeen := 0
+	for _, r := range rrpv {
+		if r > maxSeen {
+			maxSeen = r
+		}
+	}
+	if delta := p.max - maxSeen; delta > 0 {
+		for w := range rrpv {
+			rrpv[w] += delta
+		}
+	}
+}
+
 // RRPV implements RRPVer.
 func (p *SRRIP) RRPV(set, way int) int { return p.rrpv[set*p.ways+way] }
 
 // MaxRRPV implements RRPVer.
 func (p *SRRIP) MaxRRPV() int { return p.max }
+
+// MaxRRPVWays implements RRPVer.
+func (p *SRRIP) MaxRRPVWays(set int) uint64 {
+	var m uint64
+	for w, r := range p.rrpv[set*p.ways : (set+1)*p.ways] {
+		if r == p.max {
+			m |= uint64(1) << uint(w)
+		}
+	}
+	return m
+}
 
 var (
 	_ Policy = (*SRRIP)(nil)

@@ -1,5 +1,7 @@
 package policy
 
+import "math/bits"
+
 // Victimer is the single-victim fast path: Victim(set) returns exactly
 // Rank(set)[0] — including any side effects Rank performs (SRRIP ages the
 // set) — without materializing or sorting the full preference order. The
@@ -43,18 +45,8 @@ func (p *NRU) Victim(set int) int {
 // distant-future RRPV is the victim, matching Rank's stable descending
 // sort.
 func (p *SRRIP) Victim(set int) int {
+	p.age(set)
 	base := set * p.ways
-	maxSeen := 0
-	for w := 0; w < p.ways; w++ {
-		if p.rrpv[base+w] > maxSeen {
-			maxSeen = p.rrpv[base+w]
-		}
-	}
-	if delta := p.max - maxSeen; delta > 0 {
-		for w := 0; w < p.ways; w++ {
-			p.rrpv[base+w] += delta
-		}
-	}
 	for w := 0; w < p.ways; w++ {
 		if p.rrpv[base+w] == p.max {
 			return w
@@ -95,7 +87,91 @@ func (p *MIN) Victim(set int) int {
 	return best
 }
 
+// MaskedVictimer is the masked victim query: VictimIn(set, mask) returns
+// the first way of Rank(set) whose bit is set in mask, or -1 when mask
+// selects no way. It performs exactly Rank's side effects (SRRIP ages the
+// set), and those are idempotent: repeated queries with no state change
+// in between observe one and the same order. The LLC's QBS, SHARP,
+// CHARonBase and ZIV relocation-victim searches ask it instead of sorting
+// a full Rank and scanning it. Bit w selects way w; bits at or above the
+// associativity are ignored.
+type MaskedVictimer interface {
+	// VictimIn returns the first way of Rank(set) among mask, or -1.
+	//
+	//ziv:noalloc
+	VictimIn(set int, mask uint64) int
+}
+
+// waysMask selects ways 0..ways-1 (all 64 bits from 64 ways up).
+func waysMask(ways int) uint64 { return uint64(1)<<uint(ways) - 1 }
+
+// VictimIn implements MaskedVictimer: the masked way with the smallest
+// timestamp, ties broken by lowest way index like Rank's stable sort.
+func (p *LRU) VictimIn(set int, mask uint64) int {
+	stamp := p.stamp[set*p.ways : (set+1)*p.ways]
+	best := -1
+	var bestStamp uint64
+	for m := mask & waysMask(p.ways); m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		if s := stamp[w]; best < 0 || s < bestStamp {
+			best, bestStamp = w, s
+		}
+	}
+	return best
+}
+
+// VictimIn implements MaskedVictimer: Rank's aging step, then the first
+// masked way with the highest RRPV.
+func (p *SRRIP) VictimIn(set int, mask uint64) int {
+	p.age(set)
+	return firstMaxIn(p.rrpv[set*p.ways:(set+1)*p.ways], mask)
+}
+
+// VictimIn implements MaskedVictimer: the first masked way with the
+// highest RRPV, matching Rank's stable descending sort.
+func (p *Hawkeye) VictimIn(set int, mask uint64) int {
+	return firstMaxIn(p.rrpv[set*p.ways:(set+1)*p.ways], mask)
+}
+
+// firstMaxIn returns the lowest-index way among mask holding the highest
+// value of vals, or -1 when mask selects no way.
+func firstMaxIn(vals []int, mask uint64) int {
+	best, bestVal := -1, 0
+	for m := mask & waysMask(len(vals)); m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		if v := vals[w]; best < 0 || v > bestVal {
+			best, bestVal = w, v
+		}
+	}
+	return best
+}
+
+// VictimIn implements MaskedVictimer: the masked way whose next use is
+// furthest in the future, invalid ways querying as most-imminent exactly
+// like Rank.
+func (p *MIN) VictimIn(set int, mask uint64) int {
+	base := set * p.ways
+	best := -1
+	var bestNU uint64
+	for m := mask & waysMask(p.ways); m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		var nu uint64
+		if p.valid[base+w] {
+			nu = p.oracle.NextUse(p.addr[base+w], p.now)
+		}
+		if best < 0 || nu > bestNU {
+			best, bestNU = w, nu
+		}
+	}
+	return best
+}
+
 var (
+	_ MaskedVictimer = (*LRU)(nil)
+	_ MaskedVictimer = (*SRRIP)(nil)
+	_ MaskedVictimer = (*Hawkeye)(nil)
+	_ MaskedVictimer = (*MIN)(nil)
+
 	_ Victimer = (*LRU)(nil)
 	_ Victimer = (*NRU)(nil)
 	_ Victimer = (*SRRIP)(nil)
