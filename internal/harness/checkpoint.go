@@ -45,8 +45,12 @@ type checkpointEntry struct {
 // plus the append handle for the current one.
 type checkpoint struct {
 	mu sync.Mutex
+	// f is nil once the journal is closed; later records are dropped.
 	//ziv:guards(mu)
 	f *os.File
+	// entries holds only what a resume loaded: the jobs this sweep
+	// journals are already in its runner's results, so record never
+	// keeps a second copy.
 	//ziv:guards(mu)
 	entries map[string]Result
 	// broken records a failed write; appending stops (journaling is
@@ -146,24 +150,27 @@ func (c *checkpoint) lookup(key string) (Result, bool) {
 	return res, ok
 }
 
-// record appends one completed job. The whole entry is a single write of
-// a single line, so a crash can tear at most the final line — which load
-// drops. Failures disable further journaling but never fail the sweep.
-func (c *checkpoint) record(key, cfgLabel, mix string, res Result) {
+// record appends one completed job and reports whether it was written.
+// The whole entry is a single write of a single line, so a crash can
+// tear at most the final line — which load drops. Failures disable
+// further journaling but never fail the sweep; a record after close (a
+// job abandoned by an expired drain finishing late) writes nothing.
+func (c *checkpoint) record(key, cfgLabel, mix string, res Result) bool {
 	data, err := json.Marshal(checkpointEntry{Key: key, CfgLabel: cfgLabel, Mix: mix, Result: res})
 	if err != nil {
-		return
+		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.broken {
-		return
+	if c.broken || c.f == nil {
+		return false
 	}
-	c.entries[key] = res
 	if _, err := c.f.Write(append(data, '\n')); err != nil {
 		c.broken = true
 		fmt.Fprintf(os.Stderr, "harness: checkpoint write failed, journaling disabled: %v\n", err)
+		return false
 	}
+	return true
 }
 
 // close releases the journal's file handle.

@@ -151,37 +151,60 @@ func (q Request) IdentityKey() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
+// sweepLock serializes the RunSweep calls that share a normalized
+// Options value.
+type sweepLock struct {
+	mu sync.Mutex
+	// refs counts the sweeps holding or waiting on mu; it is guarded by
+	// sweepLocksMu, not mu, and the last sweep out deletes the entry.
+	refs int
+}
+
 var (
 	sweepLocksMu sync.Mutex
-	// sweepLocks serializes concurrent RunSweep calls that share a
-	// normalized Options value. Such sweeps share a runner (and its
-	// memo), so running them back to back both keeps the runner's
-	// options stable while jobs are in flight and lets the second sweep
-	// adopt everything the first computed.
+	// sweepLocks holds one entry per option set that has a sweep in
+	// flight or waiting. Same-options sweeps run back to back so the
+	// later one adopts the earlier one's simulations from the disk cache
+	// (when configured) instead of recomputing them alongside it, and so
+	// at most one of them appends to a given checkpoint journal.
 	//
 	//ziv:guards(sweepLocksMu)
-	sweepLocks = map[Options]*sync.Mutex{}
+	sweepLocks = map[Options]*sweepLock{}
 )
 
-// sweepLock returns the serialization lock for an option set.
-func sweepLock(opt Options) *sync.Mutex {
+// lockSweep takes the serialization lock for an option set and returns
+// its release, which drops the entry once no sweep holds or awaits it.
+func lockSweep(opt Options) (unlock func()) {
 	key := opt.normalized()
 	sweepLocksMu.Lock()
-	defer sweepLocksMu.Unlock()
 	lk := sweepLocks[key]
 	if lk == nil {
-		lk = &sync.Mutex{}
+		lk = &sweepLock{}
 		sweepLocks[key] = lk
 	}
-	return lk
+	lk.refs++
+	sweepLocksMu.Unlock()
+	lk.mu.Lock()
+	return func() {
+		lk.mu.Unlock()
+		sweepLocksMu.Lock()
+		defer sweepLocksMu.Unlock()
+		lk.refs--
+		if lk.refs == 0 {
+			delete(sweepLocks, key)
+		}
+	}
 }
 
 // RunSweep executes a sweep request: every selected experiment in ID
 // order, each behind a panic barrier (an experiment that dies outside
 // the per-job recovery is reported in its FigureResult and the rest
 // still run), stopping early when the request's Drain is triggered.
-// Concurrent sweeps under the same normalized Options serialize on a
-// shared lock because they share a runner. The returned error is
+// The sweep owns its runner and checkpoint journal and releases both
+// on return; its Status counts only its own matrix. Concurrent sweeps
+// under the same normalized Options serialize, and the later one
+// adopts the earlier one's simulations through the disk cache when
+// CacheDir is set (it recomputes them otherwise). The returned error is
 // reserved for invalid requests (unknown figure IDs); execution-level
 // failures land in the Report.
 func RunSweep(q Request) (*Report, error) {
@@ -189,12 +212,15 @@ func RunSweep(q Request) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	lk := sweepLock(q.Options)
-	lk.Lock()
-	defer lk.Unlock()
+	unlock := lockSweep(q.Options)
+	defer unlock()
+	r := makeRunner(q.Options)
+	defer r.release()
+	opt := q.Options
+	opt.sweep = r
 	rep := &Report{}
 	for _, e := range exps {
-		fr := runFigure(e, q.Options)
+		fr := runFigure(e, opt)
 		if d := q.Options.Drain; d != nil && d.Requested() {
 			// The interrupted figure's table may hold placeholder zeros
 			// for skipped jobs; don't report partial figures as results.
@@ -206,7 +232,7 @@ func RunSweep(q Request) (*Report, error) {
 			q.OnFigure(fr)
 		}
 	}
-	rep.Status = Status(q.Options)
+	rep.Status = r.status()
 	return rep, nil
 }
 

@@ -99,6 +99,11 @@ type Options struct {
 	// its own outputs, never into results — the telemetry invariance test
 	// pins that — so it is excluded from cache keys.
 	Telemetry *telemetry.Sink `json:"-"`
+
+	// sweep, set only by RunSweep, is the runner that sweep owns: every
+	// experiment of the sweep resolves to it instead of to the
+	// process-wide memo, and RunSweep releases it on return.
+	sweep *runner
 }
 
 // DefaultOptions returns laptop-scale settings.
@@ -182,10 +187,15 @@ type job struct {
 	mix      workload.Mix
 }
 
-// runner executes jobs with caching and bounded parallelism. Runners are
-// shared process-wide per Options value, so experiments that overlap in
+// runner executes jobs with caching and bounded parallelism. RunSweep
+// creates one runner per sweep and releases it (closing its checkpoint
+// journal) when the sweep returns, so a long-lived front end such as
+// zivsimd holds no harness state for the identities it has served; the
+// experiments of one sweep share its runner, so those that overlap in
 // their configuration matrices (e.g. Figs. 3/4, Figs. 8/9/10) reuse each
-// other's simulations.
+// other's simulations. Direct Experiment.Run callers instead share one
+// runner per Options value for the process lifetime (the memo ResetMemo
+// clears).
 type runner struct {
 	opt Options
 	mu  sync.Mutex
@@ -203,8 +213,9 @@ type runner struct {
 	skipped map[string]bool
 	//ziv:guards(mu)
 	placeholders map[string]Result
-	// completedRuns counts real simulations finished this process (cache
-	// and checkpoint hits excluded); the drain-after fault keys off it.
+	// completedRuns counts real simulations finished by this runner
+	// (cache and checkpoint hits excluded); the drain-after fault keys
+	// off it.
 	//ziv:guards(mu)
 	completedRuns int
 	//ziv:guards(mu)
@@ -222,13 +233,20 @@ type runner struct {
 
 var (
 	runnersMu sync.Mutex
-	// runners memoizes one runner per normalized Options value.
+	// runners memoizes one runner per normalized Options value for
+	// direct Experiment.Run callers; RunSweep's runners never enter it.
 	//
 	//ziv:guards(runnersMu)
 	runners = map[Options]*runner{}
 )
 
+// newRunner resolves the runner an experiment runs its matrix on: the
+// sweep's own runner under RunSweep, else the memoized one for the
+// options.
 func newRunner(opt Options) *runner {
+	if opt.sweep != nil {
+		return opt.sweep
+	}
 	key := opt.normalized()
 	runnersMu.Lock()
 	defer runnersMu.Unlock()
@@ -236,7 +254,14 @@ func newRunner(opt Options) *runner {
 		r.opt = opt
 		return r
 	}
-	r := &runner{
+	r := makeRunner(opt)
+	runners[key] = r
+	return r
+}
+
+// makeRunner builds an empty runner for an option set.
+func makeRunner(opt Options) *runner {
+	return &runner{
 		opt:          opt,
 		results:      make(map[string]Result),
 		failed:       make(map[string]FailedJob),
@@ -244,8 +269,6 @@ func newRunner(opt Options) *runner {
 		placeholders: make(map[string]Result),
 		manifest:     make(map[string]manifestRecord),
 	}
-	runners[key] = r
-	return r
 }
 
 // normalized zeroes the Options fields that do not affect simulation
@@ -261,6 +284,7 @@ func (o Options) normalized() Options {
 	o.FaultSpec = ""
 	o.Drain = nil
 	o.Telemetry = nil
+	o.sweep = nil
 	return o
 }
 
@@ -270,11 +294,23 @@ func ResetMemo() {
 	runnersMu.Lock()
 	defer runnersMu.Unlock()
 	for _, r := range runners {
-		if r.ckpt != nil {
-			r.ckpt.close()
-		}
+		r.release()
 	}
 	runners = map[Options]*runner{}
+}
+
+// LiveState counts the harness state that outlives a call: runners
+// memoized for direct Experiment.Run callers, and sweep-lock entries
+// (one per option set with a RunSweep holding or waiting on it). A
+// server that only calls RunSweep reads (0, 0) whenever it is idle; the
+// server's boundedness test pins that.
+func LiveState() (memoRunners, locks int) {
+	runnersMu.Lock()
+	memoRunners = len(runners)
+	runnersMu.Unlock()
+	sweepLocksMu.Lock()
+	defer sweepLocksMu.Unlock()
+	return memoRunners, len(sweepLocks)
 }
 
 // simulatedRefs counts memory references simulated by runOne across the
@@ -458,8 +494,7 @@ func (r *runner) runJob(j job, baseL2 int, plan *faultPlan) {
 			r.completedRuns++
 			n := r.completedRuns
 			r.mu.Unlock()
-			if ck := r.checkpoint(); ck != nil {
-				ck.record(dk, j.cfgLabel, j.mix.Name, res)
+			if ck := r.checkpoint(); ck != nil && ck.record(dk, j.cfgLabel, j.mix.Name, res) {
 				tel.CheckpointRecorded(k)
 			}
 			if r.opt.CacheDir != "" {
@@ -611,6 +646,17 @@ func (r *runner) checkpoint() *checkpoint {
 	return r.ckpt
 }
 
+// release closes the runner's checkpoint journal. It first settles the
+// lazy open, so a job still in flight after an expired drain can neither
+// open the journal afterwards nor race the close; its later record finds
+// the journal closed and writes nothing.
+func (r *runner) release() {
+	r.ckptOnce.Do(func() {})
+	if r.ckpt != nil {
+		r.ckpt.close()
+	}
+}
+
 // placeholderResult is the zero-valued stand-in stored for failed and
 // skipped jobs: core-count-shaped so metric helpers (which insist on
 // matching core counts) render zeros instead of panicking.
@@ -634,9 +680,10 @@ func (r *runner) get(cfgLabel, mixName string) Result {
 	panic(fmt.Sprintf("harness: missing result for %s on %s", cfgLabel, mixName))
 }
 
-// SweepStatus summarizes the job-level outcomes of the sweeps run so far
-// under one Options value (all experiments share a runner, so this is the
-// whole `-fig all` picture).
+// SweepStatus summarizes the job-level outcomes of one sweep: a
+// RunSweep call's Report, or every Experiment.Run under one Options
+// value (those share a memoized runner, so this is the whole `-fig all`
+// picture).
 type SweepStatus struct {
 	// Completed counts jobs with a real Result, whether simulated this
 	// process or adopted from the disk cache or checkpoint.
@@ -653,10 +700,11 @@ type SweepStatus struct {
 	Skipped []string `json:"skipped,omitempty"`
 }
 
-// Status reports the sweep status for an Options value; the zero status
-// if no sweep has run under it. The exit-code and failed-job reporting in
-// cmd/zivsim is built on it. Unlike newRunner, the lookup never updates
-// the runner's options: Status may be called while an expired drain has
+// Status reports the sweep status of the memoized runner for an Options
+// value — the direct Experiment.Run path; the zero status if no
+// experiment has run under it. RunSweep reports its own sweep's status
+// in the Report instead. Unlike newRunner, the lookup never updates the
+// runner's options: Status may be called while an expired drain has
 // left an abandoned job in flight, and that job still reads them.
 func Status(opt Options) SweepStatus {
 	runnersMu.Lock()
@@ -665,6 +713,11 @@ func Status(opt Options) SweepStatus {
 	if r == nil {
 		return SweepStatus{}
 	}
+	return r.status()
+}
+
+// status summarizes the runner's job outcomes.
+func (r *runner) status() SweepStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := SweepStatus{

@@ -486,7 +486,7 @@ func (s *Server) execute(j *Job) {
 		opt.CacheDir = s.cacheDir
 	}
 	if s.ckptDir != "" {
-		opt.CheckpointFile = filepath.Join(s.ckptDir, j.ID+".zivcheckpoint")
+		opt.CheckpointFile = s.checkpointPath(j.ID)
 		opt.Resume = true
 	}
 	sink := telemetry.NewSink(s.cfg.Now, s.reg, nil, nil)
@@ -531,8 +531,11 @@ func (s *Server) execute(j *Job) {
 	}
 	j.errMsg = msg
 	j.mu.Unlock()
-	if state == StateDone {
-		s.persist(j)
+	// A done job is served from its persisted record from now on, so its
+	// checkpoint has nothing left to resume; failed and canceled jobs
+	// (and a done job whose record did not persist) keep theirs.
+	if state == StateDone && s.persist(j) {
+		os.Remove(s.checkpointPath(j.ID))
 	}
 	s.terminalEvent(j, state, msg)
 	s.finish(j, state)
@@ -725,35 +728,43 @@ type persistedJob struct {
 // persistVersion stamps persisted job files.
 const persistVersion = "zivsimd-job-v1"
 
+// checkpointPath names a job's sweep checkpoint under the state dir.
+func (s *Server) checkpointPath(id string) string {
+	return filepath.Join(s.ckptDir, id+".zivcheckpoint")
+}
+
 // persist writes a completed job's full status to the state directory
-// (temp file + rename, so a crash never leaves a torn entry). Failures
-// are silent by design: persistence is an accelerator, never a
-// correctness dependency.
-func (s *Server) persist(j *Job) {
+// (temp file + rename, so a crash never leaves a torn entry) and
+// reports whether the record is in place. Failures are otherwise silent
+// by design: persistence is an accelerator, never a correctness
+// dependency.
+func (s *Server) persist(j *Job) bool {
 	if s.jobsDir == "" {
-		return
+		return false
 	}
 	st := s.snapshot(j, true)
 	data, err := json.Marshal(persistedJob{Version: persistVersion, Job: st})
 	if err != nil {
-		return
+		return false
 	}
 	tmp, err := os.CreateTemp(s.jobsDir, ".tmp-*")
 	if err != nil {
-		return
+		return false
 	}
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return
+		return false
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		return
+		return false
 	}
 	if err := os.Rename(tmp.Name(), filepath.Join(s.jobsDir, j.ID+".json")); err != nil {
 		os.Remove(tmp.Name())
+		return false
 	}
+	return true
 }
 
 // loadPersisted rebuilds a done Job from the state directory; nil when

@@ -142,16 +142,14 @@ func TestRoundTripMatchesDirectRun(t *testing.T) {
 	figs := []string{"fig8"}
 
 	// Baseline: the engine directly, as cmd/zivsim drives it.
-	harness.ResetMemo()
-	t.Cleanup(harness.ResetMemo)
 	rep, err := harness.RunSweep(harness.Request{Figs: figs, Options: payload.Options()})
 	if err != nil {
 		t.Fatalf("direct RunSweep: %v", err)
 	}
 	want := rep.Figures[0].Table.Format()
 
-	// Server computes from scratch (memo cleared), persisting as it goes.
-	harness.ResetMemo()
+	// Server computes from scratch (its sweep owns a fresh runner),
+	// persisting as it goes.
 	stateDir := t.TempDir()
 	s := newTestServer(t, Config{StateDir: stateDir})
 	startExecutors(t, s)
@@ -184,7 +182,6 @@ func TestRoundTripMatchesDirectRun(t *testing.T) {
 
 	// A fresh server over the same state dir serves the persisted job
 	// instantly — no executors are even running.
-	harness.ResetMemo()
 	s2 := newTestServer(t, Config{StateDir: stateDir})
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
@@ -202,7 +199,6 @@ func TestRoundTripMatchesDirectRun(t *testing.T) {
 	if err := removeJobRecord(stateDir, st.ID); err != nil {
 		t.Fatalf("remove job record: %v", err)
 	}
-	harness.ResetMemo()
 	s3 := newTestServer(t, Config{StateDir: stateDir})
 	startExecutors(t, s3)
 	ts3 := httptest.NewServer(s3.Handler())
@@ -233,8 +229,6 @@ func removeJobRecord(stateDir, id string) error {
 // the full dense-sequence history ending in a terminal event, and
 // ?from= resumes mid-feed.
 func TestEventsStream(t *testing.T) {
-	harness.ResetMemo()
-	t.Cleanup(harness.ResetMemo)
 	s := newTestServer(t, Config{})
 	startExecutors(t, s)
 	ts := httptest.NewServer(s.Handler())
@@ -320,8 +314,6 @@ func readAllEvents(t *testing.T, resp *http.Response) ([]Event, error) {
 // once it is running, and expects a canceled terminal state long before
 // the sweep could have finished, with the skipped work recorded.
 func TestCancelMidRun(t *testing.T) {
-	harness.ResetMemo()
-	t.Cleanup(harness.ResetMemo)
 	s := newTestServer(t, Config{Parallelism: 1})
 	startExecutors(t, s)
 	ts := httptest.NewServer(s.Handler())
@@ -414,8 +406,6 @@ func TestCancelQueued(t *testing.T) {
 // running: the sweep must come back canceled with a resumable message,
 // /healthz must flip to 503, and new submissions must be refused.
 func TestDrainWithInflight(t *testing.T) {
-	harness.ResetMemo()
-	t.Cleanup(harness.ResetMemo)
 	s := newTestServer(t, Config{Parallelism: 1, StateDir: t.TempDir()})
 	stop := make(chan struct{})
 	done := make(chan struct{})
