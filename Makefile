@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-sarif lint-baseline lint-stats lint-stats-baseline test race fuzz bench bench-quick bench-compare obs-smoke resume-smoke telemetry-smoke serve-smoke ci
+.PHONY: all build vet lint lint-sarif lint-baseline lint-stats lint-stats-baseline test golden-all race fuzz bench bench-quick bench-compare obs-smoke resume-smoke telemetry-smoke serve-smoke ci
 
 all: ci
 
@@ -37,6 +37,11 @@ lint-stats-baseline:
 
 test:
 	$(GO) test ./...
+
+# Byte-identity gate over every registered figure (testdata/golden_all.txt);
+# `test` checks only the default subset (Figs. 1, 8, 15 and Ext. 2).
+golden-all:
+	ZIVSIM_GOLDEN=all $(GO) test -count=1 ./internal/harness -run 'TestGoldenDeterminism$$'
 
 # halt_on_error=1 makes the first race fatal instead of a report that
 # scrolls past; the raised timeout covers the instrumented harness
@@ -195,4 +200,4 @@ serve-smoke:
 	@echo "serve-smoke: job API round-trip, metrics and clean drain all validate"
 	rm -rf serve-smoke.tmp
 
-ci: build vet lint lint-stats test race
+ci: build vet lint lint-stats test golden-all race

@@ -34,25 +34,23 @@ func benchOptions() harness.Options {
 }
 
 // benchFigure runs one harness experiment per iteration and reports the
-// first row's values as metrics. The process-wide result memo is cleared
-// before every iteration: without that, iteration 2 onward replays cached
-// results and the bench reports the memo's speed, not the simulator's.
-// Simulated references per wall-clock second is the headline metric.
+// first row's values as metrics. Every iteration is a sweep of its own, so
+// each pays the full simulation cost. Simulated references per wall-clock
+// second is the headline metric.
 func benchFigure(b *testing.B, id string) {
-	e, ok := harness.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
 	o := benchOptions()
-	refsBefore := harness.SimulatedRefs()
+	var refs uint64
 	var tab *harness.Table
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		harness.ResetMemo()
-		tab = e.Run(o)
+		rep, err := harness.RunSweep(harness.Request{Figs: []string{id}, Options: o})
+		if err != nil {
+			b.Fatal(err)
+		}
+		refs += rep.SimulatedRefs
+		tab = rep.Figures[0].Table
 	}
 	b.StopTimer()
-	refs := harness.SimulatedRefs() - refsBefore
 	b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "refs/s")
 	if tab == nil || len(tab.Rows) == 0 {
 		b.Fatal("experiment produced no rows")

@@ -1,8 +1,9 @@
 // Command zivbench measures end-to-end figure-regeneration throughput and
-// writes a machine-readable report. Each listed experiment runs exactly once
-// with a cold in-process memo and serial execution (Parallelism=1), so the
-// numbers are comparable across commits: same job set, same schedule, no
-// cache reuse. `make bench` invokes it to produce BENCH_figs.json.
+// writes a machine-readable report. Each listed experiment runs exactly once,
+// in a sweep of its own (cold: no results shared with another figure) with
+// serial execution (Parallelism=1), so the numbers are comparable across
+// commits: same job set, same schedule, no cache reuse. `make bench`
+// invokes it to produce BENCH_figs.json.
 //
 // The headline metric is simulated memory references per wall-clock second
 // (refs/s): it normalizes for how much work each figure's configuration
@@ -114,17 +115,19 @@ func main() {
 		Options:   fmt.Sprintf("%+v", opt),
 	}
 	for _, id := range ids {
-		e, ok := harness.ByID(id)
-		if !ok {
+		if _, ok := harness.ByID(id); !ok {
 			fmt.Fprintf(os.Stderr, "zivbench: unknown experiment %q\n", id)
 			os.Exit(2)
 		}
-		harness.ResetMemo()
-		before := harness.SimulatedRefs()
 		start := time.Now()
-		tab := e.Run(opt)
+		sweep, err := harness.RunSweep(harness.Request{Figs: []string{id}, Options: opt})
 		dt := time.Since(start).Seconds()
-		refs := harness.SimulatedRefs() - before
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "zivbench: %v\n", err)
+			os.Exit(1)
+		}
+		refs := sweep.SimulatedRefs
+		tab := sweep.Figures[0].Table
 		if tab == nil || len(tab.Rows) == 0 {
 			fmt.Fprintf(os.Stderr, "zivbench: %s produced no rows\n", id)
 			os.Exit(1)

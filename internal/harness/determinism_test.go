@@ -24,20 +24,13 @@ func smallOptions() Options {
 // independent, so worker count and completion order must never leak into
 // results.
 func TestParallelismDoesNotAffectResults(t *testing.T) {
-	e, ok := ByID("fig8")
-	if !ok {
-		t.Fatal("fig8 not registered")
-	}
-
 	serial := smallOptions()
 	serial.Parallelism = 1
-	ResetMemo()
-	tabSerial := e.Run(serial)
+	tabSerial, _ := runFig(t, "fig8", serial)
 
 	parallel := smallOptions()
 	parallel.Parallelism = 8
-	ResetMemo()
-	tabParallel := e.Run(parallel)
+	tabParallel, _ := runFig(t, "fig8", parallel)
 
 	if !reflect.DeepEqual(tabSerial, tabParallel) {
 		t.Errorf("tables differ between Parallelism=1 and Parallelism=8:\nserial:\n%s\nparallel:\n%s",
@@ -45,31 +38,24 @@ func TestParallelismDoesNotAffectResults(t *testing.T) {
 	}
 }
 
-// TestDiskCacheHitMatchesColdRun populates the disk cache with a cold run,
-// clears the in-process memo, and requires the cache-served rerun to render
-// byte-identical output.
+// TestDiskCacheHitMatchesColdRun populates the disk cache with a cold
+// sweep and requires the cache-served second sweep to render byte-identical
+// output.
 func TestDiskCacheHitMatchesColdRun(t *testing.T) {
-	e, ok := ByID("fig1")
-	if !ok {
-		t.Fatal("fig1 not registered")
-	}
 	o := smallOptions()
 	o.CacheDir = t.TempDir()
 
-	ResetMemo()
-	refsBefore := SimulatedRefs()
-	cold := e.Run(o).Format()
-	if SimulatedRefs() == refsBefore {
+	coldTab, coldRep := runFig(t, "fig1", o)
+	if coldRep.SimulatedRefs == 0 {
 		t.Fatal("cold run simulated nothing")
 	}
 
-	ResetMemo()
-	refsBefore = SimulatedRefs()
-	warm := e.Run(o).Format()
+	warmTab, warmRep := runFig(t, "fig1", o)
+	cold, warm := coldTab.Format(), warmTab.Format()
 	if warm != cold {
 		t.Errorf("cache-served run differs from cold run:\ncold:\n%s\nwarm:\n%s", cold, warm)
 	}
-	if simulated := SimulatedRefs() - refsBefore; simulated != 0 {
+	if simulated := warmRep.SimulatedRefs; simulated != 0 {
 		t.Errorf("warm run simulated %d refs; expected every job to come from the disk cache", simulated)
 	}
 }
@@ -79,32 +65,34 @@ func TestDiskCacheHitMatchesColdRun(t *testing.T) {
 func TestDiskCacheKeyDistinguishesOptions(t *testing.T) {
 	o := smallOptions()
 	o.CacheDir = t.TempDir()
-	r := newRunner(o)
+	r := makeRunner(o)
 	j := jobForTest(o)
 
-	base := r.diskKey(j, 256<<10)
+	base := r.diskKey(j)
 
 	seeded := o
 	seeded.Seed++
-	if k := (&runner{opt: seeded}).diskKey(j, 256<<10); k == base {
+	if k := (&runner{opt: seeded}).diskKey(j); k == base {
 		t.Error("changing Seed did not change the cache key")
 	}
 	longer := o
 	longer.Measure *= 2
-	if k := (&runner{opt: longer}).diskKey(j, 256<<10); k == base {
+	if k := (&runner{opt: longer}).diskKey(j); k == base {
 		t.Error("changing Measure did not change the cache key")
 	}
 	par := o
 	par.Parallelism = 7
-	if k := (&runner{opt: par}).diskKey(j, 256<<10); k != base {
+	if k := (&runner{opt: par}).diskKey(j); k != base {
 		t.Error("Parallelism changed the cache key; it cannot affect results")
 	}
 	elsewhere := o
 	elsewhere.CacheDir = "/somewhere/else"
-	if k := (&runner{opt: elsewhere}).diskKey(j, 256<<10); k != base {
+	if k := (&runner{opt: elsewhere}).diskKey(j); k != base {
 		t.Error("CacheDir changed the cache key; it cannot affect results")
 	}
-	if k := r.diskKey(job{cfgLabel: j.cfgLabel + "x", cfg: j.cfg, mix: j.mix}, 256<<10); k == base {
+	relabeled := j
+	relabeled.cfgLabel += "x"
+	if k := r.diskKey(relabeled); k == base {
 		t.Error("changing the config label did not change the cache key")
 	}
 }
@@ -112,5 +100,5 @@ func TestDiskCacheKeyDistinguishesOptions(t *testing.T) {
 // jobForTest builds a representative job from an options value.
 func jobForTest(o Options) job {
 	mixes := o.mixes()
-	return job{cfgLabel: "test-cfg", cfg: hierarchy.DefaultConfig(o.Cores, 256<<10, o.Scale), mix: mixes[0]}
+	return job{cfgLabel: "test-cfg", cfg: hierarchy.DefaultConfig(o.Cores, 256<<10, o.Scale), mix: mixes[0], baseL2: 256 << 10}
 }

@@ -37,17 +37,21 @@ type cacheKeyInput struct {
 	Config   hierarchy.Config
 	Mix      workload.Mix
 	BaseL2   int
+	// MT marks a multi-threaded workload job (Mix names the workload);
+	// omitempty keeps every multi-programmed key unchanged.
+	MT bool `json:",omitempty"`
 }
 
 // diskKey returns the content-derived cache file stem for a job.
-func (r *runner) diskKey(j job, baseL2 int) string {
+func (r *runner) diskKey(j job) string {
 	data, err := json.Marshal(cacheKeyInput{
 		Version:  cacheVersion,
 		Options:  r.opt.normalized(),
 		CfgLabel: j.cfgLabel,
 		Config:   j.cfg,
 		Mix:      j.mix,
-		BaseL2:   baseL2,
+		BaseL2:   j.baseL2,
+		MT:       j.mt,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("harness: cache key marshal: %v", err))
@@ -69,8 +73,8 @@ type cachedResult struct {
 // diskLoad returns the cached Result for a job, if present and valid.
 // Unreadable or mismatched entries are treated as misses: the cache is an
 // accelerator, never a correctness dependency.
-func (r *runner) diskLoad(j job, baseL2 int) (Result, bool) {
-	path := filepath.Join(r.opt.CacheDir, r.diskKey(j, baseL2)+".json")
+func (r *runner) diskLoad(j job) (Result, bool) {
+	path := filepath.Join(r.opt.CacheDir, r.diskKey(j)+".json")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Result{}, false
@@ -86,7 +90,7 @@ func (r *runner) diskLoad(j job, baseL2 int) (Result, bool) {
 // so concurrent workers and interrupted runs never leave a torn entry.
 // Failures are silent by design (a read-only cache dir just disables
 // persistence).
-func (r *runner) diskStore(j job, baseL2 int, res Result) {
+func (r *runner) diskStore(j job, res Result) {
 	if err := os.MkdirAll(r.opt.CacheDir, 0o755); err != nil {
 		return
 	}
@@ -99,7 +103,7 @@ func (r *runner) diskStore(j job, baseL2 int, res Result) {
 	if err != nil {
 		return
 	}
-	path := filepath.Join(r.opt.CacheDir, r.diskKey(j, baseL2)+".json")
+	path := filepath.Join(r.opt.CacheDir, r.diskKey(j)+".json")
 	tmp, err := os.CreateTemp(r.opt.CacheDir, ".tmp-*")
 	if err != nil {
 		return
@@ -122,8 +126,8 @@ func (r *runner) diskStore(j job, baseL2 int, res Result) {
 // length. It exists solely for the "corrupt:" FaultSpec directive: the
 // read path must treat the damaged entry as a miss and recompute, which
 // the resilience tests and the CI resume-smoke job assert end to end.
-func (r *runner) corruptCacheEntry(j job, baseL2 int) {
-	path := filepath.Join(r.opt.CacheDir, r.diskKey(j, baseL2)+".json")
+func (r *runner) corruptCacheEntry(j job) {
+	path := filepath.Join(r.opt.CacheDir, r.diskKey(j)+".json")
 	info, err := os.Stat(path)
 	if err != nil {
 		return

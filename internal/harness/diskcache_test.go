@@ -26,33 +26,27 @@ func cacheTestOptions(dir string) Options {
 	return o
 }
 
-// isolatedRunner bypasses the process-global runner memo so each test
-// run exercises the disk path, not the in-memory one.
-func isolatedRunner(opt Options) *runner {
-	return &runner{opt: opt, results: map[string]Result{}}
-}
-
-func cacheTestJob(o Options) (job, int) {
+func cacheTestJob(o Options) job {
 	s := baselineSpec()
-	return job{cfgLabel: s.label, cfg: s.config(o), mix: o.mixes()[0]}, kb256 / o.Scale
+	return job{cfgLabel: s.label, cfg: s.config(o), mix: o.mixes()[0], baseL2: kb256 / o.Scale}
 }
 
 // runCacheJob executes the single test job on a fresh runner and returns
 // its result.
 func runCacheJob(t *testing.T, opt Options) Result {
 	t.Helper()
-	r := isolatedRunner(opt)
-	j, baseL2 := cacheTestJob(opt)
-	r.runAll([]job{j}, baseL2)
+	r := makeRunner(opt)
+	j := cacheTestJob(opt)
+	r.runAll([]job{j})
 	return r.get(j.cfgLabel, j.mix.Name)
 }
 
 // cacheFile returns the single entry the test job stores.
 func cacheFile(t *testing.T, opt Options) string {
 	t.Helper()
-	r := isolatedRunner(opt)
-	j, baseL2 := cacheTestJob(opt)
-	return filepath.Join(opt.CacheDir, r.diskKey(j, baseL2)+".json")
+	r := makeRunner(opt)
+	j := cacheTestJob(opt)
+	return filepath.Join(opt.CacheDir, r.diskKey(j)+".json")
 }
 
 func TestDiskCacheRoundTrip(t *testing.T) {
@@ -64,9 +58,9 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 		t.Fatalf("no cache entry written: %v", err)
 	}
 
-	r := isolatedRunner(opt)
-	j, baseL2 := cacheTestJob(opt)
-	got, ok := r.diskLoad(j, baseL2)
+	r := makeRunner(opt)
+	j := cacheTestJob(opt)
+	got, ok := r.diskLoad(j)
 	if !ok {
 		t.Fatal("diskLoad missed a freshly stored entry")
 	}
@@ -90,9 +84,9 @@ func TestDiskCacheTruncatedEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := isolatedRunner(opt)
-	j, baseL2 := cacheTestJob(opt)
-	if _, ok := r.diskLoad(j, baseL2); ok {
+	r := makeRunner(opt)
+	j := cacheTestJob(opt)
+	if _, ok := r.diskLoad(j); ok {
 		t.Fatal("diskLoad accepted a truncated entry")
 	}
 	got := runCacheJob(t, opt) // recompute + re-store
@@ -128,9 +122,9 @@ func TestDiskCacheVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := isolatedRunner(opt)
-	j, baseL2 := cacheTestJob(opt)
-	if _, ok := r.diskLoad(j, baseL2); ok {
+	r := makeRunner(opt)
+	j := cacheTestJob(opt)
+	if _, ok := r.diskLoad(j); ok {
 		t.Fatal("diskLoad accepted a version-mismatched entry")
 	}
 	if got := runCacheJob(t, opt); !reflect.DeepEqual(got, want) {
@@ -156,9 +150,9 @@ func TestDiskCacheBadKey(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := isolatedRunner(opt)
-	j, baseL2 := cacheTestJob(opt)
-	if _, ok := r.diskLoad(j, baseL2); ok {
+	r := makeRunner(opt)
+	j := cacheTestJob(opt)
+	if _, ok := r.diskLoad(j); ok {
 		t.Fatal("diskLoad found an entry despite the wrong key")
 	}
 	if got := runCacheJob(t, opt); !reflect.DeepEqual(got, want) {
@@ -210,8 +204,8 @@ func TestDiskStoreAtomicNoTempResidue(t *testing.T) {
 func TestDiskStoreConcurrentWritersNeverTear(t *testing.T) {
 	opt := cacheTestOptions(t.TempDir())
 	want := runCacheJob(t, opt)
-	r := isolatedRunner(opt)
-	j, baseL2 := cacheTestJob(opt)
+	r := makeRunner(opt)
+	j := cacheTestJob(opt)
 
 	stop := make(chan struct{})
 	errc := make(chan error, 1)
@@ -226,7 +220,7 @@ func TestDiskStoreConcurrentWritersNeverTear(t *testing.T) {
 					return
 				default:
 				}
-				if got, ok := r.diskLoad(j, baseL2); ok && !reflect.DeepEqual(got, want) {
+				if got, ok := r.diskLoad(j); ok && !reflect.DeepEqual(got, want) {
 					select {
 					case errc <- fmt.Errorf("reader observed a torn or wrong entry"):
 					default:
@@ -243,7 +237,7 @@ func TestDiskStoreConcurrentWritersNeverTear(t *testing.T) {
 		go func() {
 			defer writers.Done()
 			for i := 0; i < 50; i++ {
-				r.diskStore(j, baseL2, want)
+				r.diskStore(j, want)
 			}
 		}()
 	}
@@ -257,7 +251,7 @@ func TestDiskStoreConcurrentWritersNeverTear(t *testing.T) {
 	default:
 	}
 	assertNoTempResidue(t, opt.CacheDir)
-	got, ok := r.diskLoad(j, baseL2)
+	got, ok := r.diskLoad(j)
 	if !ok {
 		t.Fatal("entry missing after concurrent stores")
 	}

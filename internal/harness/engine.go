@@ -66,6 +66,10 @@ type Report struct {
 	// every experiment finished; completed work is journaled when a
 	// checkpoint is configured, so an identical resubmission resumes.
 	Drained bool `json:"drained"`
+	// SimulatedRefs counts the memory references (warmup + measurement,
+	// all cores) of the simulations the sweep ran itself; cache and
+	// checkpoint hits add nothing. Benchmarks divide it by wall time.
+	SimulatedRefs uint64 `json:"-"`
 }
 
 // Panics counts the experiments that aborted outside the per-job
@@ -172,6 +176,15 @@ var (
 	sweepLocks = map[Options]*sweepLock{}
 )
 
+// LiveState counts the sweep-lock entries alive: one per option set with
+// a RunSweep holding or waiting on it. It reads 0 whenever no sweep is in
+// flight; the server's boundedness test pins that.
+func LiveState() (locks int) {
+	sweepLocksMu.Lock()
+	defer sweepLocksMu.Unlock()
+	return len(sweepLocks)
+}
+
 // lockSweep takes the serialization lock for an option set and returns
 // its release, which drops the entry once no sweep holds or awaits it.
 func lockSweep(opt Options) (unlock func()) {
@@ -216,11 +229,9 @@ func RunSweep(q Request) (*Report, error) {
 	defer unlock()
 	r := makeRunner(q.Options)
 	defer r.release()
-	opt := q.Options
-	opt.sweep = r
 	rep := &Report{}
 	for _, e := range exps {
-		fr := runFigure(e, opt)
+		fr := runFigure(e, r)
 		if d := q.Options.Drain; d != nil && d.Requested() {
 			// The interrupted figure's table may hold placeholder zeros
 			// for skipped jobs; don't report partial figures as results.
@@ -232,14 +243,14 @@ func RunSweep(q Request) (*Report, error) {
 			q.OnFigure(fr)
 		}
 	}
-	rep.Status = r.status()
+	rep.Status, rep.SimulatedRefs = r.status()
 	return rep, nil
 }
 
 // runFigure runs one experiment behind a panic barrier: a failure
 // outside the per-job recovery (e.g. in table assembly) becomes the
 // FigureResult's Err instead of killing the sweep.
-func runFigure(e Experiment, opt Options) (fr FigureResult) {
+func runFigure(e Experiment, r *runner) (fr FigureResult) {
 	fr = FigureResult{ID: e.ID, Title: e.Title}
 	defer func() {
 		if p := recover(); p != nil {
@@ -247,6 +258,6 @@ func runFigure(e Experiment, opt Options) (fr FigureResult) {
 			fr.Err = fmt.Sprint(p)
 		}
 	}()
-	fr.Table = e.Run(opt)
+	fr.Table = e.run(r)
 	return fr
 }

@@ -87,12 +87,39 @@ func TestIdentityKeyCanonical(t *testing.T) {
 	}
 }
 
+// TestPersistedKeysStable pins the hex request identity of a fig1 sweep
+// and the disk key of one of its jobs under tinyOptions. Both name files
+// that outlive a process (zivsimd's jobs/<id>.json, a result-cache entry),
+// so a refactor that moves either silently orphans everything persisted
+// before it. Change the constants only together with cacheVersion, when
+// results are meant to change.
+func TestPersistedKeysStable(t *testing.T) {
+	const (
+		wantID   = "675dea6469f9ecacf679ed87a843eb8ebbf1f49cd7203d22fe45c38f7d40b558"
+		wantDisk = "39cd52e907cee5ded15053df72aebd629fd0fdee02de9dff95ce2250592ad2f0"
+	)
+	o := tinyOptions()
+	id, err := Request{Figs: []string{"fig1"}, Options: o}.IdentityKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != wantID {
+		t.Errorf("fig1 IdentityKey = %s, want %s", id, wantID)
+	}
+	// The NI-LRU-256KB x hetero.00 job, built as sweepMatrix builds it.
+	j := job{cfgLabel: "NI-LRU-256KB", cfg: famNILRU.specs()[0].config(o), mix: o.mixes()[1], baseL2: kb256 / o.Scale}
+	if j.key() != "NI-LRU-256KB|hetero.00" {
+		t.Fatalf("pinned job is %s, want NI-LRU-256KB|hetero.00", j.key())
+	}
+	if k := makeRunner(o).diskKey(j); k != wantDisk {
+		t.Errorf("fig1 job diskKey = %s, want %s", k, wantDisk)
+	}
+}
+
 // TestRunSweepStreamsFigures checks the engine's streaming contract:
 // OnFigure fires once per experiment in ID order, with the same tables
 // the Report carries.
 func TestRunSweepStreamsFigures(t *testing.T) {
-	ResetMemo()
-	t.Cleanup(ResetMemo)
 	var streamed []string
 	rep, err := RunSweep(Request{
 		Figs:    []string{"fig9", "fig8"},
@@ -128,8 +155,6 @@ func TestRunSweepStreamsFigures(t *testing.T) {
 // TestRunSweepDrainStopsEarly checks that a pre-requested drain yields a
 // drained report with no figures: partial tables are never emitted.
 func TestRunSweepDrainStopsEarly(t *testing.T) {
-	ResetMemo()
-	t.Cleanup(ResetMemo)
 	opt := tinyOptions()
 	opt.Drain = NewDrain()
 	opt.Drain.Request()

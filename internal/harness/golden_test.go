@@ -45,15 +45,25 @@ func goldenFigures() (ids []string, file string) {
 }
 
 // renderGolden produces the canonical text the golden file stores: each
-// experiment's formatted table, in run order, separated by blank lines.
-func renderGolden(ids []string) string {
+// experiment's formatted table, in the order of ids, separated by blank
+// lines. The experiments run in one sweep, sharing the simulations their
+// matrices have in common.
+func renderGolden(t *testing.T, ids []string, o Options) string {
+	t.Helper()
+	rep, err := RunSweep(Request{Figs: ids, Options: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := map[string]*Table{}
+	for _, fr := range rep.Figures {
+		if fr.Err != "" {
+			t.Fatalf("%s panicked: %s", fr.ID, fr.Err)
+		}
+		tables[fr.ID] = fr.Table
+	}
 	var b strings.Builder
 	for _, id := range ids {
-		e, ok := ByID(id)
-		if !ok {
-			panic("golden: unknown experiment " + id)
-		}
-		b.WriteString(e.Run(goldenOptions()).Format())
+		b.WriteString(tables[id].Format())
 		b.WriteByte('\n')
 	}
 	return b.String()
@@ -69,7 +79,7 @@ func TestGoldenDeterminism(t *testing.T) {
 		t.Skip("golden gate skipped in -short mode")
 	}
 	ids, file := goldenFigures()
-	got := renderGolden(ids)
+	got := renderGolden(t, ids, goldenOptions())
 	path := filepath.Join("testdata", file)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -104,13 +114,11 @@ func TestGoldenResultsAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := stripTimings(string(raw))
-	o := DefaultOptions()
-	var b strings.Builder
+	var ids []string
 	for _, e := range Experiments() {
-		b.WriteString(e.Run(o).Format())
-		b.WriteByte('\n')
+		ids = append(ids, e.ID)
 	}
-	got := stripTimings(b.String())
+	got := stripTimings(renderGolden(t, ids, DefaultOptions()))
 	if got != want {
 		t.Fatalf("full -fig all output diverged from results_all.txt.\n%s", firstDiff(want, got))
 	}

@@ -99,11 +99,6 @@ type Options struct {
 	// its own outputs, never into results — the telemetry invariance test
 	// pins that — so it is excluded from cache keys.
 	Telemetry *telemetry.Sink `json:"-"`
-
-	// sweep, set only by RunSweep, is the runner that sweep owns: every
-	// experiment of the sweep resolves to it instead of to the
-	// process-wide memo, and RunSweep releases it on return.
-	sweep *runner
 }
 
 // DefaultOptions returns laptop-scale settings.
@@ -158,7 +153,6 @@ func runOne(cfg hierarchy.Config, gens []trace.Generator, warmup, measure int, o
 		m.SetObserver(o)
 	}
 	m.Run()
-	simulatedRefs.Add(uint64(len(gens)) * uint64(warmup+measure))
 	cores := m.CoreStats()
 	r := Result{
 		Config: cfg,
@@ -180,22 +174,44 @@ func runOne(cfg hierarchy.Config, gens []trace.Generator, warmup, measure int, o
 	return r
 }
 
-// job identifies one simulation in a figure's matrix.
+// job identifies one simulation in a figure's matrix: a machine
+// configuration and the workload it runs. The workload is a
+// multi-programmed mix, or, when mt is set, the multi-threaded workload
+// named mix.Name (Figs. 16/17). baseL2 is the L2 capacity workload
+// footprints scale against.
 type job struct {
 	cfgLabel string
 	cfg      hierarchy.Config
 	mix      workload.Mix
+	mt       bool
+	baseL2   int
+}
+
+// generators builds the job's per-core reference streams.
+func (j job) generators(seed uint64) []trace.Generator {
+	p := workload.Params{
+		L2Bytes:       uint64(j.cfg.L2Bytes),
+		LLCShareBytes: uint64(j.cfg.LLCBytes / j.cfg.Cores),
+		BaseL2Bytes:   uint64(j.baseL2),
+	}
+	if !j.mt {
+		return workload.BuildMix(j.mix, p, seed)
+	}
+	w, ok := workload.MTByName(j.mix.Name)
+	if !ok {
+		panic("harness: unknown MT workload " + j.mix.Name)
+	}
+	return w.Build(j.cfg.Cores, p, seed)
 }
 
 // runner executes jobs with caching and bounded parallelism. RunSweep
-// creates one runner per sweep and releases it (closing its checkpoint
-// journal) when the sweep returns, so a long-lived front end such as
-// zivsimd holds no harness state for the identities it has served; the
-// experiments of one sweep share its runner, so those that overlap in
-// their configuration matrices (e.g. Figs. 3/4, Figs. 8/9/10) reuse each
-// other's simulations. Direct Experiment.Run callers instead share one
-// runner per Options value for the process lifetime (the memo ResetMemo
-// clears).
+// creates one runner per sweep, hands it to every experiment of the
+// sweep and releases it (closing its checkpoint journal) on return, so a
+// long-lived front end such as zivsimd holds no harness state for the
+// identities it has served. Experiments that overlap in their
+// configuration matrices (e.g. Figs. 3/4, Figs. 8/9/10, Figs. 16/17)
+// reuse each other's simulations, which is why every key must name
+// exactly one configuration.
 type runner struct {
 	opt Options
 	mu  sync.Mutex
@@ -218,6 +234,10 @@ type runner struct {
 	// off it.
 	//ziv:guards(mu)
 	completedRuns int
+	// simRefs counts the memory references (warmup + measurement, all
+	// cores) of those real simulations.
+	//ziv:guards(mu)
+	simRefs uint64
 	//ziv:guards(mu)
 	cacheHits int
 	//ziv:guards(mu)
@@ -229,34 +249,6 @@ type runner struct {
 
 	ckptOnce sync.Once
 	ckpt     *checkpoint
-}
-
-var (
-	runnersMu sync.Mutex
-	// runners memoizes one runner per normalized Options value for
-	// direct Experiment.Run callers; RunSweep's runners never enter it.
-	//
-	//ziv:guards(runnersMu)
-	runners = map[Options]*runner{}
-)
-
-// newRunner resolves the runner an experiment runs its matrix on: the
-// sweep's own runner under RunSweep, else the memoized one for the
-// options.
-func newRunner(opt Options) *runner {
-	if opt.sweep != nil {
-		return opt.sweep
-	}
-	key := opt.normalized()
-	runnersMu.Lock()
-	defer runnersMu.Unlock()
-	if r := runners[key]; r != nil {
-		r.opt = opt
-		return r
-	}
-	r := makeRunner(opt)
-	runners[key] = r
-	return r
 }
 
 // makeRunner builds an empty runner for an option set.
@@ -272,7 +264,8 @@ func makeRunner(opt Options) *runner {
 }
 
 // normalized zeroes the Options fields that do not affect simulation
-// results; the remainder keys both the in-process memo and the disk cache.
+// results; the remainder keys the disk cache, the checkpoint journal and
+// the request identity.
 func (o Options) normalized() Options {
 	o.Parallelism = 0
 	o.CacheDir = ""
@@ -284,57 +277,15 @@ func (o Options) normalized() Options {
 	o.FaultSpec = ""
 	o.Drain = nil
 	o.Telemetry = nil
-	o.sweep = nil
 	return o
-}
-
-// ResetMemo drops every in-process cached result. Benchmarks use it to make
-// each iteration pay the full simulation cost instead of a memo hit.
-func ResetMemo() {
-	runnersMu.Lock()
-	defer runnersMu.Unlock()
-	for _, r := range runners {
-		r.release()
-	}
-	runners = map[Options]*runner{}
-}
-
-// LiveState counts the harness state that outlives a call: runners
-// memoized for direct Experiment.Run callers, and sweep-lock entries
-// (one per option set with a RunSweep holding or waiting on it). A
-// server that only calls RunSweep reads (0, 0) whenever it is idle; the
-// server's boundedness test pins that.
-func LiveState() (memoRunners, locks int) {
-	runnersMu.Lock()
-	memoRunners = len(runners)
-	runnersMu.Unlock()
-	sweepLocksMu.Lock()
-	defer sweepLocksMu.Unlock()
-	return memoRunners, len(sweepLocks)
-}
-
-// simulatedRefs counts memory references simulated by runOne across the
-// process lifetime (warmup + measurement, all cores). Benchmarks divide it
-// by wall time for a work-normalized refs/sec metric.
-var simulatedRefs atomic.Uint64
-
-// SimulatedRefs returns the total memory references simulated so far.
-func SimulatedRefs() uint64 { return simulatedRefs.Load() }
-
-func (r *runner) key(cfgLabel, mixName string) string { return cfgLabel + "|" + mixName }
-
-// params derives the workload scaling parameters for a machine config.
-func paramsFor(cfg hierarchy.Config, baseL2 int) workload.Params {
-	return workload.Params{
-		L2Bytes:       uint64(cfg.L2Bytes),
-		LLCShareBytes: uint64(cfg.LLCBytes / cfg.Cores),
-		BaseL2Bytes:   uint64(baseL2),
-	}
 }
 
 // cost estimates a job's simulation work: references simulated scale with
 // the core count (warmup/measure are per core and shared across a runner).
 func (j job) cost() int { return j.cfg.Cores }
+
+// key is the job's runner key, "cfgLabel|mixName".
+func (j job) key() string { return j.cfgLabel + "|" + j.mix.Name }
 
 // runAll executes every job (cached by (config label, mix)) in parallel.
 // Jobs are sorted longest-first so the schedule's tail holds the short
@@ -349,7 +300,7 @@ func (j job) cost() int { return j.cfg.Cores }
 // journaled to the checkpoint (when configured) as they finish, and a
 // requested Drain stops dispatch, waits for in-flight jobs until the
 // drain expires, and marks everything left as skipped.
-func (r *runner) runAll(jobs []job, baseL2 int) {
+func (r *runner) runAll(jobs []job) {
 	plan, err := compileFaultSpec(r.opt.FaultSpec)
 	if err != nil {
 		panic(fmt.Sprintf("harness: %v (validate with ParseFaultSpec before running)", err))
@@ -358,7 +309,7 @@ func (r *runner) runAll(jobs []job, baseL2 int) {
 	todo := make([]job, 0, len(jobs))
 	seen := map[string]bool{}
 	for _, j := range jobs {
-		k := r.key(j.cfgLabel, j.mix.Name)
+		k := j.key()
 		if seen[k] {
 			continue
 		}
@@ -373,7 +324,7 @@ func (r *runner) runAll(jobs []job, baseL2 int) {
 	// A sweep that is already draining runs nothing further: later
 	// experiments after an interrupt park their whole matrix as skipped.
 	if drain != nil && drain.Requested() {
-		r.markSkipped(todo, baseL2)
+		r.markSkipped(todo)
 		return
 	}
 	if p := r.opt.Progress; p != nil {
@@ -383,7 +334,7 @@ func (r *runner) runAll(jobs []job, baseL2 int) {
 	}
 	if t := r.opt.Telemetry; t != nil {
 		for _, j := range todo {
-			t.JobQueued(r.key(j.cfgLabel, j.mix.Name))
+			t.JobQueued(j.key())
 		}
 	}
 	// Checkpoint and disk-cache adoption. Observability artifacts come
@@ -392,7 +343,7 @@ func (r *runner) runAll(jobs []job, baseL2 int) {
 	if ck := r.checkpoint(); ck != nil && r.opt.Obs == nil {
 		rest := todo[:0]
 		for _, j := range todo {
-			dk := r.diskKey(j, baseL2)
+			dk := r.diskKey(j)
 			if res, ok := ck.lookup(dk); ok {
 				r.adopt(j, res, fromCheckpoint, dk)
 				continue
@@ -404,8 +355,8 @@ func (r *runner) runAll(jobs []job, baseL2 int) {
 	if r.opt.CacheDir != "" && r.opt.Obs == nil {
 		rest := todo[:0]
 		for _, j := range todo {
-			if res, ok := r.diskLoad(j, baseL2); ok {
-				r.adopt(j, res, fromCache, r.diskKey(j, baseL2))
+			if res, ok := r.diskLoad(j); ok {
+				r.adopt(j, res, fromCache, r.diskKey(j))
 				continue
 			}
 			rest = append(rest, j)
@@ -417,7 +368,7 @@ func (r *runner) runAll(jobs []job, baseL2 int) {
 		if ci != ck {
 			return ci > ck
 		}
-		return r.key(todo[i].cfgLabel, todo[i].mix.Name) < r.key(todo[k].cfgLabel, todo[k].mix.Name)
+		return todo[i].key() < todo[k].key()
 	})
 	par := r.opt.Parallelism
 	if par <= 0 {
@@ -440,7 +391,7 @@ func (r *runner) runAll(jobs []job, baseL2 int) {
 				if i >= len(todo) {
 					return
 				}
-				r.runJob(todo[i], baseL2, plan)
+				r.runJob(todo[i], plan)
 			}
 		}()
 	}
@@ -461,19 +412,19 @@ func (r *runner) runAll(jobs []job, baseL2 int) {
 		}
 	}
 	if drain != nil && drain.Requested() {
-		r.markSkipped(todo, baseL2)
+		r.markSkipped(todo)
 	}
 	r.flushObsManifest()
 }
 
 // runJob runs one job to completion, failure, or abandonment, with
 // bounded immediate retry around recovered panics.
-func (r *runner) runJob(j job, baseL2 int, plan *faultPlan) {
-	k := r.key(j.cfgLabel, j.mix.Name)
+func (r *runner) runJob(j job, plan *faultPlan) {
+	k := j.key()
 	tel := r.opt.Telemetry
 	dk := ""
 	if tel != nil || r.opt.CheckpointFile != "" {
-		dk = r.diskKey(j, baseL2)
+		dk = r.diskKey(j)
 	}
 	attempts := r.opt.MaxAttempts
 	if attempts < 1 {
@@ -483,7 +434,7 @@ func (r *runner) runJob(j job, baseL2 int, plan *faultPlan) {
 	var last FailedJob
 	for a := 1; a <= attempts; a++ {
 		tel.AttemptStart(k, a)
-		res, o, failure := r.attemptJob(j, baseL2, plan, a)
+		res, o, failure := r.attemptJob(j, plan, a)
 		if failure == nil {
 			tel.AttemptEnd(k, dk, j.cfgLabel, j.mix.Name, a, telemetry.OutcomeDone, refs, "")
 			r.mu.Lock()
@@ -492,15 +443,16 @@ func (r *runner) runJob(j job, baseL2 int, plan *faultPlan) {
 			delete(r.skipped, k)
 			delete(r.placeholders, k)
 			r.completedRuns++
+			r.simRefs += refs
 			n := r.completedRuns
 			r.mu.Unlock()
 			if ck := r.checkpoint(); ck != nil && ck.record(dk, j.cfgLabel, j.mix.Name, res) {
 				tel.CheckpointRecorded(k)
 			}
 			if r.opt.CacheDir != "" {
-				r.diskStore(j, baseL2, res)
+				r.diskStore(j, res)
 				if plan.wantsCorrupt(k) {
-					r.corruptCacheEntry(j, baseL2)
+					r.corruptCacheEntry(j)
 				}
 			}
 			if o != nil {
@@ -535,7 +487,7 @@ func (r *runner) runJob(j job, baseL2 int, plan *faultPlan) {
 // attemptJob performs one recovered attempt of a job. A panic — the
 // simulator's invariant checks panic by design, and FaultSpec injects
 // panics on the same path — becomes a FailedJob carrying the stack.
-func (r *runner) attemptJob(j job, baseL2 int, plan *faultPlan, attempt int) (res Result, o *obs.Observer, failure *FailedJob) {
+func (r *runner) attemptJob(j job, plan *faultPlan, attempt int) (res Result, o *obs.Observer, failure *FailedJob) {
 	defer func() {
 		if p := recover(); p != nil {
 			failure = &FailedJob{
@@ -549,9 +501,8 @@ func (r *runner) attemptJob(j job, baseL2 int, plan *faultPlan, attempt int) (re
 			o = nil
 		}
 	}()
-	plan.beforeAttempt(r.key(j.cfgLabel, j.mix.Name), attempt)
-	p := paramsFor(j.cfg, baseL2)
-	gens := workload.BuildMix(j.mix, p, r.opt.Seed)
+	plan.beforeAttempt(j.key(), attempt)
+	gens := j.generators(r.opt.Seed)
 	if oo := r.opt.Obs; oo != nil {
 		o = obs.New(j.cfg.Cores, j.cfg.LLCBanks, obs.Config{
 			IntervalCycles: oo.IntervalCycles,
@@ -577,7 +528,7 @@ const (
 // fields never escape the critical section. dk is the job's
 // content-addressed disk key, already computed by the adoption scan.
 func (r *runner) adopt(j job, res Result, src adoptSource, dk string) {
-	k := r.key(j.cfgLabel, j.mix.Name)
+	k := j.key()
 	r.mu.Lock()
 	r.results[k] = res
 	delete(r.failed, k)
@@ -605,11 +556,11 @@ func (r *runner) adopt(j job, res Result, src adoptSource, dk string) {
 // nor failed as skipped by the drain, with a placeholder result so table
 // rendering stays total. The telemetry sink is notified outside the
 // critical section (it takes its own locks).
-func (r *runner) markSkipped(jobs []job, baseL2 int) {
+func (r *runner) markSkipped(jobs []job) {
 	var telSkipped []job
 	r.mu.Lock()
 	for _, j := range jobs {
-		k := r.key(j.cfgLabel, j.mix.Name)
+		k := j.key()
 		if _, done := r.results[k]; done {
 			continue
 		}
@@ -624,7 +575,7 @@ func (r *runner) markSkipped(jobs []job, baseL2 int) {
 	r.mu.Unlock()
 	if t := r.opt.Telemetry; t != nil {
 		for _, j := range telSkipped {
-			t.JobSkipped(r.key(j.cfgLabel, j.mix.Name), r.diskKey(j, baseL2), j.cfgLabel, j.mix.Name)
+			t.JobSkipped(j.key(), r.diskKey(j), j.cfgLabel, j.mix.Name)
 		}
 	}
 }
@@ -668,22 +619,19 @@ func placeholderResult(j job) Result {
 // job that failed or was skipped by a drain (Status reports which).
 // A key the sweep never scheduled is still a programming error.
 func (r *runner) get(cfgLabel, mixName string) Result {
+	k := cfgLabel + "|" + mixName
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	res, ok := r.results[r.key(cfgLabel, mixName)]
-	if ok {
+	if res, ok := r.results[k]; ok {
 		return res
 	}
-	if ph, ok := r.placeholders[r.key(cfgLabel, mixName)]; ok {
+	if ph, ok := r.placeholders[k]; ok {
 		return ph
 	}
 	panic(fmt.Sprintf("harness: missing result for %s on %s", cfgLabel, mixName))
 }
 
-// SweepStatus summarizes the job-level outcomes of one sweep: a
-// RunSweep call's Report, or every Experiment.Run under one Options
-// value (those share a memoized runner, so this is the whole `-fig all`
-// picture).
+// SweepStatus summarizes the job-level outcomes of one RunSweep call.
 type SweepStatus struct {
 	// Completed counts jobs with a real Result, whether simulated this
 	// process or adopted from the disk cache or checkpoint.
@@ -700,24 +648,9 @@ type SweepStatus struct {
 	Skipped []string `json:"skipped,omitempty"`
 }
 
-// Status reports the sweep status of the memoized runner for an Options
-// value — the direct Experiment.Run path; the zero status if no
-// experiment has run under it. RunSweep reports its own sweep's status
-// in the Report instead. Unlike newRunner, the lookup never updates the
-// runner's options: Status may be called while an expired drain has
-// left an abandoned job in flight, and that job still reads them.
-func Status(opt Options) SweepStatus {
-	runnersMu.Lock()
-	r := runners[opt.normalized()]
-	runnersMu.Unlock()
-	if r == nil {
-		return SweepStatus{}
-	}
-	return r.status()
-}
-
-// status summarizes the runner's job outcomes.
-func (r *runner) status() SweepStatus {
+// status summarizes the runner's job outcomes and counts the references
+// its simulations ran.
+func (r *runner) status() (SweepStatus, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := SweepStatus{
@@ -737,7 +670,7 @@ func (r *runner) status() SweepStatus {
 		st.Skipped = append(st.Skipped, k)
 	}
 	sort.Strings(st.Skipped)
-	return st
+	return st, r.simRefs
 }
 
 // mixes picks the experiment's workload mixes per the options.
@@ -824,11 +757,12 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
-// Experiment is one reproducible figure.
+// Experiment is one reproducible figure; RunSweep runs it.
 type Experiment struct {
-	ID    string               // stable identifier ("fig8"), the -fig selector
-	Title string               // human-readable figure title
-	Run   func(Options) *Table // computes the figure under the given options
+	ID    string // stable identifier ("fig8"), the -fig selector
+	Title string // human-readable figure title
+	// run computes the figure on the sweep's runner, under its options.
+	run func(*runner) *Table
 }
 
 var experiments []Experiment

@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"zivsim/internal/workload"
 )
 
 // tinyOptions keeps harness tests fast: a 1/64-scale machine, two mixes,
@@ -18,6 +20,23 @@ func tinyOptions() Options {
 	return o
 }
 
+// runFig runs one experiment in a sweep of its own and returns its table
+// (nil when a drain cut the sweep short) and the sweep's report.
+func runFig(t testing.TB, id string, o Options) (*Table, *Report) {
+	t.Helper()
+	rep, err := RunSweep(Request{Figs: []string{id}, Options: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Figures) == 0 {
+		return nil, rep
+	}
+	if fr := rep.Figures[0]; fr.Err != "" {
+		t.Fatalf("%s panicked: %s", id, fr.Err)
+	}
+	return rep.Figures[0].Table, rep
+}
+
 func TestExperimentRegistry(t *testing.T) {
 	want := []string{"ext1", "ext2", "ext3", "fig1", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig2", "fig3", "fig4", "fig8", "fig9"}
 	got := Experiments()
@@ -28,7 +47,7 @@ func TestExperimentRegistry(t *testing.T) {
 		if e.ID != want[i] {
 			t.Errorf("experiment %d = %s, want %s", i, e.ID, want[i])
 		}
-		if e.Title == "" || e.Run == nil {
+		if e.Title == "" || e.run == nil {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
 	}
@@ -41,8 +60,7 @@ func TestExperimentRegistry(t *testing.T) {
 }
 
 func TestFig1Shape(t *testing.T) {
-	e, _ := ByID("fig1")
-	tab := e.Run(tinyOptions())
+	tab, _ := runFig(t, "fig1", tinyOptions())
 	if len(tab.Rows) != 4 {
 		t.Fatalf("fig1 rows = %d, want 4", len(tab.Rows))
 	}
@@ -69,7 +87,8 @@ func TestFig2ZIVFreeInclusionVictims(t *testing.T) {
 	// have zero inclusion victims. Run the ZIV spec directly.
 	o := tinyOptions()
 	s := spec{label: "ziv", l2: kb256, mode: 0, pol: 0, scheme: 4 /* SchemeZIV */, prop: 1 /* NotInPrC */}
-	r, mixes, _ := sweepMatrix(o, []spec{s})
+	r := makeRunner(o)
+	mixes := sweepMatrix(r, []spec{s})
 	for _, mix := range mixes {
 		res := r.get("ziv", mix.Name)
 		if res.TotalIncl != 0 {
@@ -115,11 +134,7 @@ func TestPaperOptions(t *testing.T) {
 }
 
 func TestExt1OracleRuns(t *testing.T) {
-	e, ok := ByID("ext1")
-	if !ok {
-		t.Fatal("ext1 not registered")
-	}
-	tab := e.Run(tinyOptions())
+	tab, _ := runFig(t, "ext1", tinyOptions())
 	if len(tab.Rows) != 4 {
 		t.Fatalf("ext1 rows = %d, want 4", len(tab.Rows))
 	}
@@ -133,11 +148,7 @@ func TestExt1OracleRuns(t *testing.T) {
 }
 
 func TestExt3SRRIPZeroVictims(t *testing.T) {
-	e, ok := ByID("ext3")
-	if !ok {
-		t.Fatal("ext3 not registered")
-	}
-	tab := e.Run(tinyOptions())
+	tab, _ := runFig(t, "ext3", tinyOptions())
 	if len(tab.Rows) != 4 {
 		t.Fatalf("ext3 rows = %d, want 4", len(tab.Rows))
 	}
@@ -151,11 +162,7 @@ func TestExt3SRRIPZeroVictims(t *testing.T) {
 }
 
 func TestExt2AblationSkew(t *testing.T) {
-	e, ok := ByID("ext2")
-	if !ok {
-		t.Fatal("ext2 not registered")
-	}
-	tab := e.Run(tinyOptions())
+	tab, _ := runFig(t, "ext2", tinyOptions())
 	if len(tab.Rows) != 2 {
 		t.Fatalf("ext2 rows = %d, want 2", len(tab.Rows))
 	}
@@ -177,8 +184,7 @@ func TestExt2AblationSkew(t *testing.T) {
 }
 
 func TestFig14Shape(t *testing.T) {
-	e, _ := ByID("fig14")
-	tab := e.Run(tinyOptions())
+	tab, _ := runFig(t, "fig14", tinyOptions())
 	if len(tab.Rows) != 13 {
 		t.Fatalf("fig14 rows = %d, want 13", len(tab.Rows))
 	}
@@ -190,8 +196,7 @@ func TestFig14Shape(t *testing.T) {
 }
 
 func TestFig15Shape(t *testing.T) {
-	e, _ := ByID("fig15")
-	tab := e.Run(tinyOptions())
+	tab, _ := runFig(t, "fig15", tinyOptions())
 	if len(tab.Rows) != 6 { // 3 families x {MESI, ZeroDEV}
 		t.Fatalf("fig15 rows = %d, want 6", len(tab.Rows))
 	}
@@ -208,28 +213,90 @@ func TestFig15Shape(t *testing.T) {
 }
 
 func TestFig16And17Shape(t *testing.T) {
-	for _, id := range []string{"fig16", "fig17"} {
-		e, _ := ByID(id)
-		tab := e.Run(tinyOptions())
+	rep, err := RunSweep(Request{Figs: []string{"fig16", "fig17"}, Options: tinyOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fr := range rep.Figures {
+		tab := fr.Table
+		if fr.Err != "" {
+			t.Fatalf("%s panicked: %s", fr.ID, fr.Err)
+		}
 		if len(tab.Rows) != 5 {
-			t.Fatalf("%s rows = %d, want 5 MT workloads", id, len(tab.Rows))
+			t.Fatalf("%s rows = %d, want 5 MT workloads", fr.ID, len(tab.Rows))
 		}
 		if len(tab.Columns) != 6 {
-			t.Fatalf("%s columns = %d, want 6 designs", id, len(tab.Columns))
+			t.Fatalf("%s columns = %d, want 6 designs", fr.ID, len(tab.Columns))
 		}
 		for _, r := range tab.Rows {
 			for i, v := range r.Values {
 				if v <= 0 {
-					t.Errorf("%s %s/%s: non-positive ratio %v", id, r.Label, tab.Columns[i], v)
+					t.Errorf("%s %s/%s: non-positive ratio %v", fr.ID, r.Label, tab.Columns[i], v)
 				}
 			}
 		}
 	}
 }
 
+// TestMTFiguresRunOnRunner: Figs. 16/17 run on the sweep's job runner.
+// Their shared I-LRU simulations (Fig. 16's I-LRU column and both
+// baselines) run once, the report counts every simulation and its
+// references, and an injected panic in one multi-threaded job is retried
+// like any other job's instead of aborting the figure.
+func TestMTFiguresRunOnRunner(t *testing.T) {
+	o := tinyOptions()
+	figs := []string{"fig16", "fig17"}
+	clean, err := RunSweep(Request{Figs: figs, Options: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := workload.MTNames()
+	const configs = 12 // 6 LRU + 6 Hawkeye designs; I-LRU is also the baseline
+	var wantRefs uint64
+	for _, name := range names {
+		cores := o.Cores
+		if name == "tpce" {
+			cores = o.TPCECores
+		}
+		wantRefs += configs * uint64(cores) * uint64(o.Warmup+o.Measure)
+	}
+	if got, want := clean.Status.Completed, configs*len(names); got != want {
+		t.Errorf("Completed = %d, want %d (%d workloads x %d configurations)", got, want, len(names), configs)
+	}
+	if clean.SimulatedRefs != wantRefs {
+		t.Errorf("SimulatedRefs = %d, want %d", clean.SimulatedRefs, wantRefs)
+	}
+
+	// A fault on every attempt fails that one job; the figures still render.
+	failing := o
+	failing.FaultSpec = "panic:NI-LRU|tpce"
+	failed, err := RunSweep(Request{Figs: figs, Options: failing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := failed.Status.Failed; len(f) != 1 || f[0].CfgLabel != "NI-LRU" || f[0].Mix != "tpce" || failed.Panics() != 0 {
+		t.Fatalf("faulted sweep: failed %v, %d figure panics; want only NI-LRU on tpce failed", f, failed.Panics())
+	}
+
+	faulted := o
+	faulted.FaultSpec = "panic:NI-LRU|tpce@1"
+	faulted.MaxAttempts = 2
+	got, err := RunSweep(Request{Figs: figs, Options: faulted})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Status.Failed) != 0 || got.Panics() != 0 {
+		t.Fatalf("retried sweep: failed %v, %d figure panics; want none", got.Status.Failed, got.Panics())
+	}
+	for i := range clean.Figures {
+		if a, b := clean.Figures[i].Table.Format(), got.Figures[i].Table.Format(); a != b {
+			t.Errorf("%s differs after a retried fault:\nclean:\n%s\nretried:\n%s", clean.Figures[i].ID, a, b)
+		}
+	}
+}
+
 func TestFig18CDF(t *testing.T) {
-	e, _ := ByID("fig18")
-	tab := e.Run(tinyOptions())
+	tab, _ := runFig(t, "fig18", tinyOptions())
 	if len(tab.Columns) != 3 {
 		t.Fatalf("fig18 columns = %d, want 3 designs", len(tab.Columns))
 	}
@@ -253,8 +320,7 @@ func TestFig18CDF(t *testing.T) {
 }
 
 func TestFig19EPIGrowsWithL2(t *testing.T) {
-	e, _ := ByID("fig19")
-	tab := e.Run(tinyOptions())
+	tab, _ := runFig(t, "fig19", tinyOptions())
 	if len(tab.Rows) != 4 {
 		t.Fatalf("fig19 rows = %d, want 4 designs", len(tab.Rows))
 	}
@@ -268,9 +334,8 @@ func TestFig19EPIGrowsWithL2(t *testing.T) {
 }
 
 func TestFig9PerMix(t *testing.T) {
-	e, _ := ByID("fig9")
 	o := tinyOptions()
-	tab := e.Run(o)
+	tab, _ := runFig(t, "fig9", o)
 	// One row per mix plus the geomean row.
 	if len(tab.Rows) != o.HomoMixes+o.HeteroMixes+1 {
 		t.Fatalf("fig9 rows = %d, want %d", len(tab.Rows), o.HomoMixes+o.HeteroMixes+1)
@@ -280,17 +345,21 @@ func TestFig9PerMix(t *testing.T) {
 	}
 }
 
+// TestRunnerCacheSharing: the experiments of one sweep share its runner,
+// so Figs. 3 and 4, which run the same matrix, simulate it once.
 func TestRunnerCacheSharing(t *testing.T) {
 	o := tinyOptions()
-	o.Seed++ // private option set for this test
-	r1 := newRunner(o)
-	r2 := newRunner(o)
-	if r1 != r2 {
-		t.Fatal("same options did not share a runner")
+	rep, err := RunSweep(Request{Figs: []string{"fig3", "fig4"}, Options: o})
+	if err != nil {
+		t.Fatal(err)
 	}
-	o2 := o
-	o2.Measure++
-	if newRunner(o2) == r1 {
-		t.Fatal("different options shared a runner")
+	// Five families x three L2 sizes; the I-LRU-256KB baseline is one of them.
+	want := 5 * len(l2Sweep) * len(o.mixes())
+	if rep.Status.Completed != want {
+		t.Errorf("Completed = %d, want %d (one simulation per distinct job)", rep.Status.Completed, want)
+	}
+	oneJob := uint64(o.Cores) * uint64(o.Warmup+o.Measure)
+	if rep.SimulatedRefs != uint64(want)*oneJob {
+		t.Errorf("SimulatedRefs = %d, want %d", rep.SimulatedRefs, uint64(want)*oneJob)
 	}
 }

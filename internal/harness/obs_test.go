@@ -30,21 +30,13 @@ func obsOptions() Options {
 // byte-identically with obs off and obs fully on (sampler + events, no
 // artifact output).
 func TestObsInvariance(t *testing.T) {
-	e, ok := ByID("fig1")
-	if !ok {
-		t.Fatal("fig1 not registered")
-	}
+	offTab, _ := runFig(t, "fig1", obsOptions())
+	off := offTab.Format()
 
-	ResetMemo()
-	off := e.Run(obsOptions()).Format()
-
-	ResetMemo()
 	on := obsOptions()
 	on.Obs = &ObsOptions{IntervalCycles: 2_000, EventCapacity: 1 << 12}
-	got := e.Run(on).Format()
-
-	ResetMemo()
-	if got != off {
+	onTab, _ := runFig(t, "fig1", on)
+	if got := onTab.Format(); got != off {
 		t.Fatalf("observability changed simulator output:\n--- obs off ---\n%s\n--- obs on ---\n%s", off, got)
 	}
 }
@@ -60,13 +52,7 @@ func TestObsArtifacts(t *testing.T) {
 		EventCapacity:  1 << 12,
 		OutDir:         dir,
 	}
-	e, ok := ByID("fig1")
-	if !ok {
-		t.Fatal("fig1 not registered")
-	}
-	ResetMemo()
-	e.Run(opt)
-	ResetMemo()
+	runFig(t, "fig1", opt)
 
 	traces, err := filepath.Glob(filepath.Join(dir, "*.trace.json"))
 	if err != nil || len(traces) == 0 {

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -32,14 +32,15 @@ func resilienceOptions() Options {
 	return o
 }
 
-// fig1Table runs fig1 under o and renders it.
-func fig1Table(t *testing.T, o Options) string {
+// fig1Table runs fig1 in a sweep of its own under o and renders it (""
+// when a drain cut the sweep short); the report carries the sweep status.
+func fig1Table(t *testing.T, o Options) (string, *Report) {
 	t.Helper()
-	e, ok := ByID("fig1")
-	if !ok {
-		t.Fatal("fig1 not registered")
+	tab, rep := runFig(t, "fig1", o)
+	if tab == nil {
+		return "", rep
 	}
-	return e.Run(o).Format()
+	return tab.Format(), rep
 }
 
 // cleanFig1 memoizes one uninterrupted fig1 run — the byte-identity
@@ -53,10 +54,9 @@ var cleanFig1 struct {
 func cleanFig1Run(t *testing.T) (table string, jobs int) {
 	t.Helper()
 	cleanFig1.once.Do(func() {
-		o := resilienceOptions()
-		ResetMemo()
-		cleanFig1.table = fig1Table(t, o)
-		cleanFig1.jobs = Status(o).Completed
+		var rep *Report
+		cleanFig1.table, rep = fig1Table(t, resilienceOptions())
+		cleanFig1.jobs = rep.Status.Completed
 	})
 	if cleanFig1.jobs == 0 {
 		t.Fatal("clean fig1 run completed no jobs")
@@ -72,10 +72,9 @@ func TestPanicFailsOnlyThatJob(t *testing.T) {
 
 	o := resilienceOptions()
 	o.FaultSpec = "panic:" + faultedJob
-	ResetMemo()
-	fig1Table(t, o) // must not panic: the failed cell renders as zeros
+	_, rep := fig1Table(t, o) // must not panic: the failed cell renders as zeros
 
-	st := Status(o)
+	st := rep.Status
 	if len(st.Failed) != 1 {
 		t.Fatalf("got %d failed jobs, want exactly 1: %v", len(st.Failed), st.Failed)
 	}
@@ -109,13 +108,12 @@ func TestRetryRecoversTransientFault(t *testing.T) {
 	o := resilienceOptions()
 	o.FaultSpec = "panic:" + faultedJob + "@1"
 	o.MaxAttempts = 2
-	ResetMemo()
-	got := fig1Table(t, o)
+	got, rep := fig1Table(t, o)
 
 	if got != clean {
 		t.Errorf("retried run differs from clean run:\nclean:\n%s\nretried:\n%s", clean, got)
 	}
-	st := Status(o)
+	st := rep.Status
 	if len(st.Failed) != 0 {
 		t.Errorf("Failed = %v, want none (attempt 2 succeeds)", st.Failed)
 	}
@@ -136,13 +134,12 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 	o.CheckpointFile = ckpt
 	o.FaultSpec = "drain-after:3"
 	o.Drain = NewDrain()
-	ResetMemo()
-	fig1Table(t, o) // partial: the drain parks the rest of the matrix
+	_, rep := fig1Table(t, o) // partial: the drain parks the rest of the matrix
 
 	if !o.Drain.Requested() {
 		t.Fatal("drain-after fault did not request a drain")
 	}
-	st := Status(o)
+	st := rep.Status
 	if st.Completed != 3 {
 		t.Fatalf("interrupted run completed %d jobs, want 3 (Parallelism 1)", st.Completed)
 	}
@@ -153,13 +150,12 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 	r := resilienceOptions()
 	r.CheckpointFile = ckpt
 	r.Resume = true
-	ResetMemo()
-	got := fig1Table(t, r)
+	got, rrep := fig1Table(t, r)
 
 	if got != clean {
 		t.Errorf("resumed run differs from uninterrupted run:\nclean:\n%s\nresumed:\n%s", clean, got)
 	}
-	rst := Status(r)
+	rst := rrep.Status
 	if rst.CheckpointHits != 3 {
 		t.Errorf("CheckpointHits = %d, want 3 (the jobs finished before the drain)", rst.CheckpointHits)
 	}
@@ -179,29 +175,25 @@ func TestResumeRetriesFailedJob(t *testing.T) {
 	o := resilienceOptions()
 	o.CheckpointFile = ckpt
 	o.FaultSpec = "panic:" + faultedJob
-	ResetMemo()
-	fig1Table(t, o)
-	if st := Status(o); len(st.Failed) != 1 || st.Completed != total-1 {
+	if _, rep := fig1Table(t, o); len(rep.Status.Failed) != 1 || rep.Status.Completed != total-1 {
 		t.Fatalf("faulted run: %d completed, %d failed; want %d completed, 1 failed",
-			st.Completed, len(st.Failed), total-1)
+			rep.Status.Completed, len(rep.Status.Failed), total-1)
 	}
 
 	r := resilienceOptions()
 	r.CheckpointFile = ckpt
 	r.Resume = true
-	ResetMemo()
-	refsBefore := SimulatedRefs()
-	got := fig1Table(t, r)
+	got, rrep := fig1Table(t, r)
 
 	if got != clean {
 		t.Errorf("resumed run differs from clean run:\nclean:\n%s\nresumed:\n%s", clean, got)
 	}
 	// Exactly one real simulation: the formerly failed job.
 	oneJob := uint64(r.Cores) * uint64(r.Warmup+r.Measure)
-	if simulated := SimulatedRefs() - refsBefore; simulated != oneJob {
+	if simulated := rrep.SimulatedRefs; simulated != oneJob {
 		t.Errorf("resume simulated %d refs, want %d (one job)", simulated, oneJob)
 	}
-	rst := Status(r)
+	rst := rrep.Status
 	if rst.CheckpointHits != total-1 || len(rst.Failed) != 0 {
 		t.Errorf("resumed status: %d checkpoint hits, %d failed; want %d hits, 0 failed",
 			rst.CheckpointHits, len(rst.Failed), total-1)
@@ -217,26 +209,23 @@ func TestCorruptCacheEntryRecomputed(t *testing.T) {
 	o := resilienceOptions()
 	o.CacheDir = t.TempDir()
 	o.FaultSpec = "corrupt:" + faultedJob
-	ResetMemo()
-	if got := fig1Table(t, o); got != clean {
+	if got, _ := fig1Table(t, o); got != clean {
 		t.Errorf("corruption happens after the result is recorded; table must match clean run:\n%s", got)
 	}
 
 	r := o
 	r.FaultSpec = ""
-	ResetMemo()
-	refsBefore := SimulatedRefs()
-	got := fig1Table(t, r)
+	got, rep := fig1Table(t, r)
 
 	if got != clean {
 		t.Errorf("rerun over corrupted cache differs from clean run:\nclean:\n%s\nrerun:\n%s", clean, got)
 	}
-	st := Status(r)
+	st := rep.Status
 	if st.CacheHits != total-1 {
 		t.Errorf("CacheHits = %d, want %d (every entry but the corrupted one)", st.CacheHits, total-1)
 	}
 	oneJob := uint64(r.Cores) * uint64(r.Warmup+r.Measure)
-	if simulated := SimulatedRefs() - refsBefore; simulated != oneJob {
+	if simulated := rep.SimulatedRefs; simulated != oneJob {
 		t.Errorf("rerun simulated %d refs, want %d (only the corrupted entry)", simulated, oneJob)
 	}
 }
@@ -249,9 +238,7 @@ func TestCheckpointTornTailTolerated(t *testing.T) {
 
 	o := resilienceOptions()
 	o.CheckpointFile = ckpt
-	ResetMemo()
-	fig1Table(t, o)
-	ResetMemo() // close the journal handle
+	fig1Table(t, o) // the sweep closes its journal handle on return
 
 	f, err := os.OpenFile(ckpt, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -265,17 +252,16 @@ func TestCheckpointTornTailTolerated(t *testing.T) {
 	r := resilienceOptions()
 	r.CheckpointFile = ckpt
 	r.Resume = true
-	refsBefore := SimulatedRefs()
-	got := fig1Table(t, r)
+	got, rep := fig1Table(t, r)
 
 	if got != clean {
 		t.Errorf("resume over torn journal differs from clean run:\nclean:\n%s\nresumed:\n%s", clean, got)
 	}
-	if st := Status(r); st.CheckpointHits != total {
+	if st := rep.Status; st.CheckpointHits != total {
 		t.Errorf("CheckpointHits = %d, want %d (the torn line is dropped, complete entries kept)",
 			st.CheckpointHits, total)
 	}
-	if simulated := SimulatedRefs() - refsBefore; simulated != 0 {
+	if simulated := rep.SimulatedRefs; simulated != 0 {
 		t.Errorf("resume simulated %d refs, want 0", simulated)
 	}
 }
@@ -342,13 +328,12 @@ func TestParallelFaultedSweep(t *testing.T) {
 	o.MaxAttempts = 2
 	o.CheckpointFile = filepath.Join(t.TempDir(), "ck")
 	o.Progress = NewProgress(&buf, func() time.Time { return time.Unix(1000, 0) })
-	ResetMemo()
-	got := fig1Table(t, o)
+	got, rep := fig1Table(t, o)
 
 	if got != clean {
 		t.Errorf("parallel faulted run differs from clean serial run:\nclean:\n%s\nparallel:\n%s", clean, got)
 	}
-	st := Status(o)
+	st := rep.Status
 	if len(st.Failed) != 0 {
 		t.Errorf("Failed = %v, want none (attempt 2 succeeds)", st.Failed)
 	}
@@ -360,46 +345,44 @@ func TestParallelFaultedSweep(t *testing.T) {
 	}
 }
 
-// TestDrainExpireAbandonsInFlightJob: an expired drain must stop waiting
-// for a wedged in-flight job and report it skipped, instead of hanging
-// the sweep forever.
+// TestDrainExpireAbandonsInFlightJob: without a checkpoint journal, an
+// expired drain must still stop waiting for a wedged in-flight job and
+// report it skipped, instead of hanging the sweep forever.
+// TestAbandonedJobNeverWritesReleasedJournal covers the journaled sweep.
 func TestDrainExpireAbandonsInFlightJob(t *testing.T) {
 	o := resilienceOptions()
+	o.CacheDir = t.TempDir()
 	o.FaultSpec = "hang:" + faultedJob
 	o.Drain = NewDrain()
-	gate := &hangGate{arrived: make(chan struct{}), release: make(chan struct{})}
-	faultHangGate = gate
+	gate := holdFaultedJob(t)
 
-	ResetMemo()
-	done := make(chan struct{})
+	done := make(chan *Report, 1)
 	go func() {
-		defer close(done)
-		e, _ := ByID("fig1")
-		e.Run(o)
+		rep, _ := RunSweep(Request{Figs: []string{"fig1"}, Options: o})
+		done <- rep
 	}()
-
 	<-gate.arrived // the faulted job is now wedged in flight
 	o.Drain.Request()
 	o.Drain.Expire()
-	<-done // the sweep returned without waiting for the wedged job
+	rep := <-done // the sweep returned without waiting for the wedged job
+	cached := cacheEntries(t, o.CacheDir)
 
-	st := Status(o)
-	// Release the abandoned goroutine and wait for it to finish, so its
-	// late simulation cannot leak SimulatedRefs into any later test.
-	faultHangGate = nil
+	// Release the abandoned job and wait for its cache entry, so its late
+	// simulation cannot run on into a later test.
 	close(gate.release)
-	for Status(o).Completed == st.Completed {
-		runtime.Gosched()
+	deadline := time.Now().Add(30 * time.Second)
+	for cacheEntries(t, o.CacheDir) == cached {
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned job never finished")
+		}
+		time.Sleep(time.Millisecond)
 	}
 
-	found := false
-	for _, k := range st.Skipped {
-		if k == faultedJob {
-			found = true
-		}
+	if !rep.Drained {
+		t.Error("expired drain did not mark the report drained")
 	}
-	if !found {
-		t.Errorf("Skipped = %v, want it to include the abandoned job %q", st.Skipped, faultedJob)
+	if !slices.Contains(rep.Status.Skipped, faultedJob) {
+		t.Errorf("Skipped = %v, want it to include the abandoned job %q", rep.Status.Skipped, faultedJob)
 	}
 }
 

@@ -46,24 +46,16 @@ func fullSink(t *testing.T, dir string, opt Options) (*telemetry.Sink, *telemetr
 // decision, even while the sweep retries an injected fault: the figure
 // renders byte-identically with telemetry off and on.
 func TestTelemetryInvariance(t *testing.T) {
-	e, ok := ByID("fig1")
-	if !ok {
-		t.Fatal("fig1 not registered")
-	}
+	offTab, _ := runFig(t, "fig1", obsOptions())
+	off := offTab.Format()
 
-	ResetMemo()
-	off := e.Run(obsOptions()).Format()
-
-	ResetMemo()
 	on := obsOptions()
 	on.MaxAttempts = 2
 	on.FaultSpec = "panic:" + faultedJob + "@1"
 	sink, _, _, _ := fullSink(t, t.TempDir(), on)
 	on.Telemetry = sink
-	got := e.Run(on).Format()
-
-	ResetMemo()
-	if got != off {
+	onTab, _ := runFig(t, "fig1", on)
+	if got := onTab.Format(); got != off {
 		t.Fatalf("telemetry changed simulator output:\n--- off ---\n%s\n--- on ---\n%s", off, got)
 	}
 }
@@ -103,22 +95,16 @@ func readCheckpointKeys(t *testing.T, path string) map[string]bool {
 // journal exactly, the retry must be visible, the metrics must tally,
 // and the sweep trace must be a valid span timeline.
 func TestTelemetrySweepLedger(t *testing.T) {
-	e, ok := ByID("fig1")
-	if !ok {
-		t.Fatal("fig1 not registered")
-	}
 	dir := t.TempDir()
 
-	ResetMemo()
 	opt := obsOptions()
 	opt.MaxAttempts = 2
 	opt.FaultSpec = "panic:" + faultedJob + "@1"
 	opt.CheckpointFile = filepath.Join(dir, "ck")
 	sink, reg, spans, ledgerPath := fullSink(t, dir, opt)
 	opt.Telemetry = sink
-	e.Run(opt)
-	st := Status(opt)
-	ResetMemo() // closes the checkpoint handle
+	_, rep := runFig(t, "fig1", opt)
+	st := rep.Status
 
 	if len(st.Failed) != 0 || len(st.Skipped) != 0 {
 		t.Fatalf("faulted sweep did not recover: %+v", st)
@@ -218,21 +204,15 @@ func TestTelemetrySweepLedger(t *testing.T) {
 // TestTelemetrySweepDrain pins that a drained sweep records its
 // undispatched jobs as skipped in the ledger.
 func TestTelemetrySweepDrain(t *testing.T) {
-	e, ok := ByID("fig1")
-	if !ok {
-		t.Fatal("fig1 not registered")
-	}
 	dir := t.TempDir()
 
-	ResetMemo()
 	opt := obsOptions()
 	opt.FaultSpec = "drain-after:2"
 	opt.Drain = NewDrain()
 	sink, _, _, ledgerPath := fullSink(t, dir, opt)
 	opt.Telemetry = sink
-	e.Run(opt)
-	st := Status(opt)
-	ResetMemo()
+	_, rep := runFig(t, "fig1", opt)
+	st := rep.Status
 
 	if len(st.Skipped) == 0 {
 		t.Fatal("drain-after:2 skipped nothing")

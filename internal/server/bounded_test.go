@@ -174,8 +174,8 @@ func TestServedIdentitiesHoldNoHarnessState(t *testing.T) {
 	if fd1 != fd0 {
 		t.Errorf("open file descriptors: %d after the warm-up sweep, %d after %d more identities", fd0, fd1, boundedIdentities)
 	}
-	if memo, locks := harness.LiveState(); memo != 0 || locks != 0 {
-		t.Errorf("harness state survives the sweeps: %d memoized runners, %d sweep locks", memo, locks)
+	if locks := harness.LiveState(); locks != 0 {
+		t.Errorf("harness state survives the sweeps: %d sweep locks", locks)
 	}
 	left, err := os.ReadDir(filepath.Join(stateDir, "checkpoints"))
 	if err != nil {
